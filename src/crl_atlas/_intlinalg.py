@@ -8,21 +8,22 @@ at most a few dozen rows), so no attention is paid to sparsity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 
 
-def _as_int_rows(rows: list[list[Fraction]]) -> tuple[list[list[int]], list[int]]:
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(ints, den) with ints[i] = den * values[i] and den the lcm of denominators.
+
+    Values may be Fraction or int; no Fraction arithmetic happens here.
+    """
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
+def _as_int_rows(rows: list[list]) -> tuple[list[list[int]], list[int]]:
     """Clear denominators row by row. Returns integer rows and the scale of each."""
-    out = []
-    scales = []
-    for row in rows:
-        den = 1
-        for x in row:
-            xd = x.denominator if isinstance(x, Fraction) else 1
-            den = den * xd // gcd(den, xd)
-        out.append([int(x * den) for x in row])
-        scales.append(den)
-    return out, scales
+    cleared = [clear_denominators(row) for row in rows]
+    return [ints for ints, _ in cleared], [den for _, den in cleared]
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -32,61 +33,70 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def int_row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
+def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free row echelon form of the integer matrix a, in place.
 
-    Returns (echelon rows, pivot column indices). Row order below the
-    pivots is deterministic: the first row with a nonzero entry in the
-    current column is promoted.
+    Returns (pivot columns, sign of the row permutation). Row order below
+    the pivots is deterministic: the first row with a nonzero entry in the
+    current column is promoted. On a square matrix of full rank the last
+    pivot entry times the sign is the determinant.
     """
-    m = len(rows)
+    m = len(a)
     if m == 0:
-        return [], []
-    n = len(rows[0])
-    a = [list(r) for r in rows]
+        return [], 1
+    n = len(a[0])
     pivots: list[int] = []
+    sign = 1
     prev = 1
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, m) if a[i][col] != 0), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        rr = a[rank]
+        p = rr[col]
         # every row below is rescaled each step, zero multiplier or not,
-        # otherwise the next division by prev is no longer exact
+        # otherwise the next division by prev is no longer exact; columns
+        # left of col are already zero below the pivot row
         for i in range(rank + 1, m):
-            q = a[i][col]
-            ri, rr = a[i], a[rank]
-            for c in range(n):
+            ri = a[i]
+            q = ri[col]
+            for c in range(col + 1, n):
                 ri[c] = _exact_div(p * ri[c] - q * rr[c], prev)
+            ri[col] = 0
         prev = p
         pivots.append(col)
         rank += 1
         if rank == m:
             break
+    return pivots, sign
+
+
+def int_row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of an integer matrix.
+
+    Returns (echelon rows, pivot column indices).
+    """
+    a = [list(r) for r in rows]
+    pivots, _ = _bareiss(a)
     return a, pivots
 
 
 def matrix_rank(rows: list[list[Fraction]]) -> int:
     int_rows, _ = _as_int_rows(rows)
-    _, pivots = int_row_echelon(int_rows)
-    return len(pivots)
+    return len(_bareiss(int_rows)[0])
 
 
-def primitive_vector(v: list[Fraction]) -> tuple[int, ...]:
+def primitive_vector(v: list) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector.
 
     Deterministic: the first nonzero entry comes out positive.
     """
-    den = 1
-    for x in v:
-        xd = x.denominator if isinstance(x, Fraction) else 1
-        den = den * xd // gcd(den, xd)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints, _ = clear_denominators(v)
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     ints = [x // g for x in ints]
@@ -96,11 +106,14 @@ def primitive_vector(v: list[Fraction]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, ...]]:
+def kernel_basis(rows: list[list], ncols: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of the right kernel, one vector per free column.
 
     Basis vectors are ordered by free column index and normalized by
-    primitive_vector, so repeated calls give identical output.
+    primitive_vector, so repeated calls give identical output. Back
+    substitution stays in the integers: before solving for a pivot entry
+    the partial vector is multiplied by the smallest positive factor that
+    makes that entry integral.
     """
     if not rows:
         basis = []
@@ -109,55 +122,40 @@ def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[tuple[int, ...]
             v[fc] = 1
             basis.append(tuple(v))
         return basis
-    int_rows, _ = _as_int_rows(rows)
-    ech, pivots = int_row_echelon(int_rows)
+    ech, _ = _as_int_rows(rows)
+    pivots, _ = _bareiss(ech)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for k in reversed(range(len(pivots))):
             pc = pivots[k]
             row = ech[k]
-            s = Fraction(0)
-            for c in range(pc + 1, ncols):
-                if row[c] and v[c]:
-                    s += Fraction(row[c]) * v[c]
-            v[pc] = -s / row[pc]
+            s = sum(row[c] * v[c] for c in range(pc + 1, ncols))
+            p = row[pc]
+            g = gcd(s, p)
+            mult = abs(p) // g
+            if mult != 1:
+                v = [mult * x for x in v]
+            v[pc] = -s // g if p > 0 else s // g
         basis.append(primitive_vector(v))
     return basis
 
 
-def det(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant via Bareiss with row pivoting."""
+def det(rows: list[list]) -> Fraction:
+    """Exact determinant via Bareiss with row pivoting; entries Fraction or int."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    int_rows, scales = _as_int_rows(rows)
-    a = int_rows
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        p = a[k][k]
-        for i in range(k + 1, n):
-            q = a[i][k]
-            for c in range(k + 1, n):
-                a[i][c] = _exact_div(p * a[i][c] - q * a[k][c], prev)
-            a[i][k] = 0
-        prev = p
-    scale = 1
-    for s in scales:
-        scale *= s
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    a, scales = _as_int_rows(rows)
+    pivots, sign = _bareiss(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * a[n - 1][n - 1], prod(scales))
 
 
 def solve(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:

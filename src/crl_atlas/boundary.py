@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .apolarity import is_generic_degrees, scaled_coefficients
 from .config import RunConfig
@@ -222,6 +221,10 @@ def dual_membership(
     otherwise.  Only real roots are searched, so a form whose nearest
     witness has complex roots comes back off or inconclusive.
     """
+    # scipy.optimize costs about 0.5 s and 49 MB to import; only the
+    # descent needs it, so callers that never test membership skip it
+    from scipy.optimize import least_squares
+
     if config is None:
         config = RunConfig()
     mu = mu if isinstance(mu, Partition) else Partition(mu)

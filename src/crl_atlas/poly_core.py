@@ -5,6 +5,13 @@ of f = sum_i c_i x^(d-i) y^i in the plain monomial basis, so c_0 multiplies
 x^d. Real-root counting works projectively: the root [1:0] at infinity is
 tracked through the power of y split off before dehomogenizing, never by
 perturbation. Everything in this module is exact; floats never appear.
+
+Convention: Fraction lives at the API only, in BinaryForm coefficients,
+isolating-interval endpoints and the monic gcds and squarefree parts
+handed back. Inside, univariate work runs on primitive integer
+polynomials: gcds and Sturm chains are primitive pseudo-remainder
+sequences (Collins 1967; Brown-Traub 1971), and the sign of p at a
+rational a/b is the sign of the integer sum c_i a^i b^(n-i).
 """
 from __future__ import annotations
 
@@ -16,6 +23,7 @@ from . import _intlinalg
 
 Rational = Fraction
 UvPoly = list[Fraction]  # ascending coefficients, no trailing zeros, [] is zero
+IntPoly = list[int]  # the same, integer and primitive
 
 
 def parse_rational(text: str) -> Fraction:
@@ -175,7 +183,14 @@ class BinaryForm:
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers (ascending coefficient lists over Fraction)
+# univariate polynomials
+#
+# Public helpers take ascending lists of rationals; the work runs on
+# IntPoly. Denominators are cleared once on entry, and every remainder is
+# a pseudo-remainder taken with a positive multiplier and divided by its
+# positive content, so each polynomial is a positive multiple of the one
+# rational arithmetic would produce: no sign, Sturm count or isolating
+# interval changes.
 
 
 def uv_normalize(p) -> UvPoly:
@@ -185,11 +200,11 @@ def uv_normalize(p) -> UvPoly:
     return p
 
 
-def uv_degree(p: UvPoly) -> int:
+def uv_degree(p) -> int:
     return len(p) - 1  # -1 for the zero polynomial
 
 
-def uv_eval(p: UvPoly, x) -> Fraction:
+def uv_eval(p, x) -> Fraction:
     x = Fraction(x)
     total = Fraction(0)
     for c in reversed(p):
@@ -197,100 +212,138 @@ def uv_eval(p: UvPoly, x) -> Fraction:
     return total
 
 
-def uv_deriv(p: UvPoly) -> UvPoly:
-    return uv_normalize([i * c for i, c in enumerate(p)][1:])
+def _primitive(p: list[int]) -> IntPoly:
+    """p without trailing zeros, divided by its positive content."""
+    end = len(p)
+    while end and p[end - 1] == 0:
+        end -= 1
+    p = p[:end]
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def uv_rem(a: UvPoly, b: UvPoly) -> UvPoly:
-    """Remainder of a by b over the rationals."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _int_poly(p) -> IntPoly:
+    """The primitive integer multiple of a rational polynomial, lc > 0."""
+    q = _primitive(_intlinalg.clear_denominators(p)[0])
+    return [-c for c in q] if q and q[-1] < 0 else q
+
+
+def _deriv(p: IntPoly) -> IntPoly:
+    return _primitive([i * c for i, c in enumerate(p)][1:])
+
+
+def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive part of |lc(b)|^k * (a mod b) for some k >= 0.
+
+    Each step multiplies the running remainder by |lc(b)| before it cancels
+    the leading term, so the result is a positive multiple of the rational
+    remainder: signs survive, which Sturm chains need.
+    """
     r = list(a)
-    db, lb = uv_degree(b), b[-1]
-    while len(r) - 1 >= db and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        q = r[-1] / lb
-        shift = len(r) - 1 - db
-        for i, c in enumerate(b):
-            r[shift + i] -= q * c
-        r.pop()
-    return uv_normalize(r)
+    db = len(b) - 1
+    lb = b[-1]
+    scale = abs(lb)
+    sign = 1 if lb > 0 else -1
+    while len(r) > db:
+        c = r.pop() * sign
+        if c:
+            shift = len(r) - db
+            if scale != 1:
+                r = [scale * x for x in r]
+            for i in range(db):
+                r[shift + i] -= c * b[i]
+    return _primitive(r)
 
 
-def _uv_primitive(p: UvPoly) -> UvPoly:
-    """Scale by a positive rational to primitive integer coefficients."""
-    if not p:
-        return []
-    den = 1
-    for c in p:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return [Fraction(v, g) for v in ints]
-
-
-def uv_gcd(a: UvPoly, b: UvPoly) -> UvPoly:
-    """Monic gcd over the rationals (Euclid with primitive renormalization)."""
-    a, b = uv_normalize(a), uv_normalize(b)
+def _gcd_int(a: IntPoly, b: IntPoly) -> IntPoly:
+    """Primitive gcd up to sign, by the primitive remainder sequence."""
     while b:
-        a, b = b, _uv_primitive(uv_rem(a, b))
-    if not a:
-        return []
-    return [c / a[-1] for c in a]
+        a, b = b, _prem(a, b)
+    return a
 
 
-def uv_squarefree_part(p: UvPoly) -> UvPoly:
-    p = uv_normalize(p)
-    if uv_degree(p) < 1:
-        return p
-    g = uv_gcd(p, uv_deriv(p))
-    if uv_degree(g) == 0:
-        return [c / p[-1] for c in p]
-    q, r = _uv_divmod(p, g)
-    if r:
-        raise ArithmeticError("gcd does not divide its polynomial")
-    return [c / q[-1] for c in q]
-
-
-def _uv_divmod(a: UvPoly, b: UvPoly) -> tuple[UvPoly, UvPoly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def _exact_quo(a: IntPoly, b: IntPoly) -> IntPoly:
+    """a / b for a primitive divisor b of a (integral by Gauss's lemma)."""
     r = list(a)
-    db, lb = uv_degree(b), b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    while len(r) - 1 >= db and r:
-        if r[-1] == 0:
-            r.pop()
-            continue
-        c = r[-1] / lb
-        shift = len(r) - 1 - db
-        q[shift] = c
-        for i, bc in enumerate(b):
-            r[shift + i] -= c * bc
-        r.pop()
-    return uv_normalize(q), uv_normalize(r)
+    db, lb = len(b) - 1, b[-1]
+    q = [0] * (len(a) - db)
+    for k in reversed(range(len(q))):
+        c, rem = divmod(r[k + db], lb)
+        if rem:
+            raise ArithmeticError("gcd does not divide its polynomial")
+        q[k] = c
+        if c:
+            for i, bc in enumerate(b):
+                r[k + i] -= c * bc
+    if any(r[:db]):
+        raise ArithmeticError("gcd does not divide its polynomial")
+    return q
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _squarefree_int(p: IntPoly) -> IntPoly:
+    """Squarefree part of p from _int_poly, again primitive with lc > 0."""
+    if len(p) < 3:
+        return p
+    g = _gcd_int(p, _deriv(p))
+    if len(g) == 1:
+        return p
+    q = _exact_quo(p, g)
+    return [-c for c in q] if q[-1] < 0 else q
 
 
-def sturm_chain(p: UvPoly) -> list[UvPoly]:
-    """Sturm chain of a squarefree polynomial, primitive-integer normalized."""
-    chain = [_uv_primitive(p)]
-    d = uv_deriv(p)
+def uv_gcd(a, b) -> UvPoly:
+    """Monic gcd over the rationals; [] when both inputs are zero."""
+    g = _gcd_int(_int_poly(a), _int_poly(b))
+    return [Fraction(c, g[-1]) for c in g]
+
+
+def uv_squarefree_part(p) -> UvPoly:
+    """Monic squarefree part over the rationals; [] for the zero polynomial."""
+    q = _squarefree_int(_int_poly(p))
+    return [Fraction(c, q[-1]) for c in q]
+
+
+def sturm_chain(p) -> list[IntPoly]:
+    """Sturm chain of a squarefree polynomial, primitive-integer normalized.
+
+    Every element is a positive multiple of the classical chain's element.
+    """
+    chain = [_primitive(_intlinalg.clear_denominators(p)[0])]
+    d = _deriv(chain[0])
     if d:
-        chain.append(_uv_primitive(d))
-    while len(chain) >= 2 and chain[-1]:
-        r = uv_rem(chain[-2], chain[-1])
+        chain.append(d)
+    while len(chain) >= 2:
+        r = _prem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(_uv_primitive([-c for c in r]))
+        chain.append([-c for c in r])
     return chain
+
+
+def _sturm_signs_at(chain: list[IntPoly], x: Fraction) -> list[int]:
+    """Signs of the chain at x = num/den: sign of sum c_i num^i den^(n-i)."""
+    num, den = x.numerator, x.denominator
+    den_pow = [1]
+    for _ in range(max(len(q) for q in chain)):
+        den_pow.append(den_pow[-1] * den)
+    out = []
+    for q in chain:
+        n = len(q) - 1
+        acc = q[n]
+        for i in range(n - 1, -1, -1):
+            acc = acc * num + q[i] * den_pow[n - i]
+        out.append((acc > 0) - (acc < 0))
+    return out
+
+
+def _sturm_signs_at_inf(chain: list[IntPoly], positive: bool) -> list[int]:
+    out = []
+    for q in chain:
+        s = 1 if q[-1] > 0 else -1
+        if not positive and len(q) % 2 == 0:  # odd degree
+            s = -s
+        out.append(s)
+    return out
 
 
 def _variations(signs: list[int]) -> int:
@@ -298,34 +351,17 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_signs_at(chain: list[UvPoly], x: Fraction) -> list[int]:
-    return [_sign(uv_eval(q, x)) for q in chain]
-
-
-def _sturm_signs_at_inf(chain: list[UvPoly], positive: bool) -> list[int]:
-    out = []
-    for q in chain:
-        if not q:
-            out.append(0)
-            continue
-        s = _sign(q[-1])
-        if not positive and uv_degree(q) % 2 == 1:
-            s = -s
-        out.append(s)
-    return out
-
-
-def uv_count_real_roots(p: UvPoly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
+def uv_count_real_roots(p, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
     """Number of distinct real roots of p, in (lo, hi] when bounds are given.
 
     Finite bounds must not themselves be roots of the squarefree part when
     an exact open-interval count is wanted; internal callers guarantee this.
     """
-    p = uv_normalize(p)
-    if not p:
+    q = _int_poly(p)
+    if not q:
         raise ValueError("zero polynomial")
-    ps = uv_squarefree_part(p)
-    if uv_degree(ps) < 1:
+    ps = _squarefree_int(q)
+    if len(ps) < 2:
         return 0
     chain = sturm_chain(ps)
     lo_signs = (
@@ -367,38 +403,45 @@ def uv_interpolate(points: list[tuple[Fraction, Fraction]]) -> UvPoly:
     return uv_normalize(result)
 
 
-def uv_root_bound(p: UvPoly) -> Fraction:
+def uv_root_bound(p) -> Fraction:
     """Cauchy bound: every real root lies strictly inside (-B, B)."""
-    p = uv_normalize(p)
-    if uv_degree(p) < 1:
+    q = _int_poly(p)
+    if len(q) < 2:
         return Fraction(1)
-    lead = abs(p[-1])
-    m = max(abs(c) for c in p[:-1]) if len(p) > 1 else Fraction(0)
-    return Fraction(1) + m / lead
+    return 1 + Fraction(max(abs(c) for c in q[:-1]), q[-1])
 
 
-def isolate_real_roots(p: UvPoly) -> list[tuple[Fraction, Fraction]]:
+def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals isolating the distinct real roots.
 
     Each (a, b) satisfies a < root < b, contains exactly one root of the
     squarefree part of p, and the endpoints are never roots.
     """
-    ps = uv_squarefree_part(uv_normalize(p))
-    if uv_degree(ps) < 1:
+    ps = _squarefree_int(_int_poly(p))
+    if len(ps) < 2:
         return []
     chain = sturm_chain(ps)
     bound = uv_root_bound(ps)
+    # (sign of ps, sign variations of the chain) per point; keyed by the
+    # ints because hashing a Fraction costs a modular inverse
+    seen: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def at(x: Fraction) -> tuple[int, int]:
+        key = (x.numerator, x.denominator)
+        if key not in seen:
+            signs = _sturm_signs_at(chain, x)
+            seen[key] = (signs[0], _variations(signs))
+        return seen[key]
 
     def count(a: Fraction, b: Fraction) -> int:
-        return _variations(_sturm_signs_at(chain, a)) - _variations(
-            _sturm_signs_at(chain, b)
-        )
+        return at(a)[1] - at(b)[1]
 
     def split_point(lo: Fraction, hi: Fraction) -> Fraction:
-        width = hi - lo
+        a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         for num, den in ((1, 2), (1, 3), (2, 3), (2, 5), (3, 5), (3, 7), (4, 7)):
-            cand = lo + width * Fraction(num, den)
-            if uv_eval(ps, cand) != 0:
+            # lo + (hi - lo) * num / den, normalized once
+            cand = Fraction(a * d * (den - num) + c * b * num, b * d * den)
+            if at(cand)[0] != 0:
                 return cand
         raise ArithmeticError("could not find a non-root split point")
 
@@ -443,9 +486,8 @@ def _split_y_power(f: BinaryForm) -> tuple[int, UvPoly]:
     degree equals deg g, so no root information hides at infinity.
     """
     a = next(i for i, c in enumerate(f.coeffs) if c != 0)
-    # c_i multiplies z^(d-i); ascending index k = d - i
-    tail = f.coeffs[a:]
-    return a, uv_normalize(list(reversed(tail)))
+    # c_i multiplies z^(d-i); ascending index k = d - i, and c_a != 0 leads
+    return a, list(reversed(f.coeffs[a:]))
 
 
 def gcd_poly(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -531,9 +573,9 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
     rows = []
     fc, gc = list(f.coeffs), list(g.coeffs)
     for i in range(n):
-        rows.append([Fraction(0)] * i + fc + [Fraction(0)] * (size - m - 1 - i))
+        rows.append([0] * i + fc + [0] * (size - m - 1 - i))
     for i in range(m):
-        rows.append([Fraction(0)] * i + gc + [Fraction(0)] * (size - n - 1 - i))
+        rows.append([0] * i + gc + [0] * (size - n - 1 - i))
     return _intlinalg.det(rows)
 
 

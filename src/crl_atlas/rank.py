@@ -35,7 +35,6 @@ from .poly_core import (
     is_real_rooted,
     is_squarefree,
     isolate_real_roots,
-    uv_interpolate,
 )
 
 __all__ = [
@@ -86,13 +85,47 @@ def _pairing_value(f_scaled: list[Fraction], q: BinaryForm) -> Fraction:
     return sum(a * b for a, b in zip(f_scaled, q.coeffs))
 
 
-def _disc_poly_in_t(q0: BinaryForm, q1: BinaryForm) -> list[Fraction]:
-    """Coefficients of disc(q0 + t*q1) as an exact polynomial in t."""
+def _disc_poly_in_t(q0: BinaryForm, q1: BinaryForm) -> list:
+    """Coefficients of disc(q0 + t*q1) as an exact polynomial in t.
+
+    The discriminant of a degree-r form is homogeneous of degree 2r - 2 in
+    its coefficients, so after scaling both forms by one common
+    denominator D the pencil has integer coefficients and disc(D*q) =
+    D^(2r-2) disc(q).  It is evaluated at the 2r - 1 consecutive integers
+    centred on 0 that determine a polynomial of degree 2r - 2; Newton
+    forward differences turn the values into coefficients without leaving
+    the integers, because the divided differences of an integer polynomial
+    at consecutive integers are integers.  The coefficients are ints when
+    q0 and q1 are integral, Fractions otherwise.
+    """
     r = q0.degree
-    bound = max(2 * r - 2, 0)
-    pts = [Fraction(k) for k in range(-(bound // 2) - 1, bound // 2 + 2)]
-    vals = [discriminant(q0 + q1.scale(t)) for t in pts]
-    return uv_interpolate(list(zip(pts, vals)))
+    ints, den = _intlinalg.clear_denominators(q0.coeffs + q1.coeffs)
+    a, b = ints[: r + 1], ints[r + 1 :]
+    n = max(2 * r - 1, 1)
+    lo = -(n // 2)
+    diffs = [
+        discriminant(BinaryForm(r, tuple(x + t * y for x, y in zip(a, b)))).numerator
+        for t in range(lo, lo + n)
+    ]
+    # diffs[j] becomes the divided difference over the nodes lo .. lo + j
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], j)
+            if rem:
+                raise ArithmeticError("divided difference was not an integer")
+    # Newton form sum_j diffs[j] prod_{i<j} (t - lo - i), expanded by Horner
+    poly = [diffs[-1]]
+    for j in range(n - 2, -1, -1):
+        node = lo + j
+        nxt = [0] + poly
+        for m, c in enumerate(poly):
+            nxt[m] -= c * node
+        nxt[0] += diffs[j]
+        poly = nxt
+    while poly and poly[-1] == 0:
+        poly.pop()
+    scale = den ** max(2 * r - 2, 0)
+    return poly if scale == 1 else [Fraction(c, scale) for c in poly]
 
 
 def _pencil_samples(disc_t: list[Fraction]) -> list[Fraction]:
@@ -200,13 +233,13 @@ def complex_rank(f: BinaryForm) -> RankCertificate:
     d = f.degree
     if d < 1:
         raise ValueError("rank needs degree at least 1")
-    e1 = d + 1
     for r in range(1, d + 1):
         space = apolar_kernel(f, r)
         if space.dim:
             e1 = r
             break
-    space = apolar_kernel(f, e1)
+    else:
+        raise ArithmeticError("no apolar operator found up to degree d")
     witness = _first_squarefree_element(space)
     if witness is not None:
         return RankCertificate(e1, "complex", witness, "exact")
@@ -553,19 +586,10 @@ def _kernel_coordinates(space: ApolarSpace, member: BinaryForm) -> list[int] | N
     coeffs = _intlinalg.solve(gram, rhs)
     if coeffs is None:
         return None
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in coeffs]
+    ints, _ = _intlinalg.clear_denominators(coeffs)
     if not any(ints):
         return None
     return _shrink_coords(ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 _SNAP = 1 << 40

@@ -2,7 +2,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -277,3 +281,20 @@ class TestSelfcheck:
         assert lines[0].startswith("config: ")
         assert lines[-1] == "selfcheck: all suites passed"
         assert all(line.startswith("[PASS]") for line in lines[1:-1])
+
+
+class TestLazyImports:
+    def test_package_and_cli_import_without_scipy(self):
+        # scipy.optimize loads only when membership or the rank search runs
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, crl_atlas, crl_atlas.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"

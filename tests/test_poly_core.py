@@ -1,4 +1,5 @@
 """Exact polynomial layer: derivatives, gcd, root counting, serialization."""
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,16 +20,22 @@ from crl_atlas.poly_core import (
     sturm_chain,
     uv_count_real_roots,
     uv_eval,
+    uv_gcd,
     uv_interpolate,
+    uv_root_bound,
     uv_squarefree_part,
 )
 
 from oracles import (
+    _eval as oracle_eval,
+    _poly_gcd as oracle_gcd,
+    count_roots_in,
     form_add,
     form_mul,
     oracle_count_real_roots,
     oracle_is_real_rooted,
     random_form,
+    squarefree_part,
 )
 
 
@@ -249,6 +256,132 @@ class TestUvHelpers:
         chain = sturm_chain(p)
         assert chain[0] == p
         assert uv_count_real_roots(p, F(-10), F(10)) == 1
+
+
+def _mul_asc(a, b):
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def random_uv(rng: random.Random, degree: int) -> list:
+    """Ascending rational polynomial of exact degree, often with repeated roots.
+
+    A random factor times linear factors over a few small rational roots
+    drawn with replacement; the leading coefficient comes out negative
+    about half the time.  The random factor has degree at most 3, or is
+    the whole polynomial with about half its coefficients zero: sparse
+    inputs give remainder sequences whose degree drops by more than one,
+    where a sign lost in a pseudo-remainder shows.
+    """
+    sparse = rng.random() < 0.3
+    free = degree if sparse else rng.randint(0, min(degree, 3))
+    p = [
+        F(0) if sparse and rng.random() < 0.5 else F(rng.randint(-9, 9), rng.randint(1, 4))
+        for _ in range(free)
+    ]
+    p.append(F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4)))
+    roots = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+    for _ in range(degree - free):
+        p = _mul_asc(p, [-rng.choice(roots), F(1)])
+    return p
+
+
+def _monic_desc_to_asc(desc):
+    desc = [c / desc[0] for c in desc] if desc else []
+    return list(reversed(desc))
+
+
+def _oracle_roots_in(p, lo, hi) -> int:
+    """Distinct roots of p in (lo, hi], via the oracle's Descartes bisection."""
+    sf = squarefree_part(list(reversed(p)))
+    if len(sf) < 2:
+        return 0
+    return count_roots_in(sf, lo, hi) + (oracle_eval(sf, hi) == 0)
+
+
+class TestIntegerInternalsAgainstOracle:
+    """The primitive integer remainder sequences agree with rational Euclid."""
+
+    CASES = 150
+
+    def polys(self, seed: int):
+        rng = random.Random(seed)
+        for i in range(self.CASES):
+            p = random_uv(rng, i % 9)
+            scale = F(-rng.randint(1, 7), rng.randint(1, 5))
+            yield rng, p, [scale * c for c in p]
+
+    def test_squarefree_part(self):
+        for _, p, neg in self.polys(20):
+            got = uv_squarefree_part(p)
+            assert got == _monic_desc_to_asc(squarefree_part(list(reversed(p))))
+            assert got[-1] == 1
+            assert uv_squarefree_part(neg) == got
+
+    def test_gcd(self):
+        for rng, p, neg in self.polys(21):
+            q = _mul_asc(random_uv(rng, rng.randint(0, 4)), p[: rng.randint(1, len(p))])
+            got = uv_gcd(p, q)
+            expect = _monic_desc_to_asc(oracle_gcd(list(reversed(p)), list(reversed(q))))
+            assert got == expect
+            assert uv_gcd(neg, [F(-3, 2) * c for c in q]) == got
+
+    def test_gcd_of_zero_inputs(self):
+        assert uv_gcd([], []) == []
+        assert uv_gcd([F(0)], [F(-2), F(4)]) == [F(-1, 2), F(1)]
+
+    def test_count_real_roots_without_bounds(self):
+        for _, p, neg in self.polys(22):
+            lo = -sum(abs(c) for c in p) / abs(p[-1]) - 1
+            got = uv_count_real_roots(p)
+            assert got == _oracle_roots_in(p, lo, -lo)
+            assert uv_count_real_roots(neg) == got
+
+    def test_count_real_roots_with_bounds(self):
+        for rng, p, neg in self.polys(23):
+            sf = squarefree_part(list(reversed(p)))
+            lo = F(rng.randint(-30, 20), 7)
+            hi = lo + F(rng.randint(1, 30), 7)
+            if oracle_eval(sf, lo) == 0 or oracle_eval(sf, hi) == 0:
+                continue
+            got = uv_count_real_roots(p, lo, hi)
+            assert got == _oracle_roots_in(p, lo, hi)
+            assert uv_count_real_roots(neg, lo, hi) == got
+
+    def test_isolate_real_roots(self):
+        for _, p, neg in self.polys(24):
+            boxes = isolate_real_roots(p)
+            sf = squarefree_part(list(reversed(p)))
+            for lo, hi in boxes:
+                assert lo < hi
+                assert oracle_eval(sf, lo) != 0 and oracle_eval(sf, hi) != 0
+                assert count_roots_in(sf, lo, hi) == 1
+            assert all(a[1] <= b[0] for a, b in zip(boxes, boxes[1:]))
+            assert len(boxes) == uv_count_real_roots(p)
+            assert isolate_real_roots(neg) == boxes
+
+    @pytest.mark.parametrize(
+        "p", [[-3, 0, 2, 0, 1], [0, 2, 0, 1], [-3, 3, 0, 0, 1], [1, 2, -1, -3, 0, 0, -1]]
+    )
+    def test_sparse_chains_with_negative_divisors(self, p):
+        # each Sturm chain here divides by an element with a negative
+        # leading coefficient whose remainder drops two degrees at once
+        p = [F(c) for c in p]
+        bound = uv_root_bound(p)
+        assert uv_count_real_roots(p) == _oracle_roots_in(p, -bound, bound)
+        assert len(isolate_real_roots(p)) == uv_count_real_roots(p)
+
+    def test_sturm_chain_is_primitive_integer(self):
+        p = [F(-1, 2), F(0), F(3, 4), F(1, 3)]  # squarefree, three real roots
+        chain = sturm_chain(p)
+        assert chain[0] == [-6, 0, 9, 4]
+        for q in chain:
+            assert all(isinstance(c, int) for c in q)
+            assert math.gcd(*q) == 1
+        assert uv_count_real_roots(p) == 3
 
 
 class TestRationalText:

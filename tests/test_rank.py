@@ -5,9 +5,23 @@ from math import comb
 
 import pytest
 
+import crl_atlas.rank
 from crl_atlas.apolarity import apply_operator
-from crl_atlas.poly_core import BinaryForm, is_real_rooted, is_squarefree
-from crl_atlas.rank import RankCertificate, SearchBudget, complex_rank, real_rank, rank_histogram
+from crl_atlas.poly_core import (
+    BinaryForm,
+    discriminant,
+    is_real_rooted,
+    is_squarefree,
+    uv_interpolate,
+)
+from crl_atlas.rank import (
+    RankCertificate,
+    SearchBudget,
+    _disc_poly_in_t,
+    complex_rank,
+    real_rank,
+    rank_histogram,
+)
 
 from oracles import (
     gauss_kernel,
@@ -85,6 +99,20 @@ class TestComplexRank:
         cert = complex_rank(THREE_POWERS_QUINTIC)
         assert cert.value == 3
         check_witness(cert, THREE_POWERS_QUINTIC)
+
+    def test_generic_quartic_builds_each_kernel_once(self, monkeypatch):
+        # r = 1, 2 come back empty, r = 3 is the pencil that holds the witness
+        calls = []
+        original = crl_atlas.rank.apolar_kernel
+
+        def counted(f, r):
+            calls.append(r)
+            return original(f, r)
+
+        monkeypatch.setattr(crl_atlas.rank, "apolar_kernel", counted)
+        cert = complex_rank(form(1, 3, -2, 5, 7))
+        assert cert.value == 3
+        assert calls == [1, 2, 3]
 
     def test_zero_form_rejected(self):
         with pytest.raises(ValueError):
@@ -209,6 +237,50 @@ class TestPencilDecision:
         assert cert.lower_bound_kind == "exact"
         check_witness(cert, base)
         assert [r for r, _ in cert.refutations] == [1, 2, 3]
+
+
+class TestPencilDiscriminant:
+    """disc(q0 + t q1) in t, against plain Lagrange interpolation."""
+
+    @staticmethod
+    def interpolated(q0: BinaryForm, q1: BinaryForm) -> list:
+        r = q0.degree
+        nodes = [F(k) for k in range(max(2 * r - 1, 1))]
+        return uv_interpolate(
+            [(t, discriminant(q0 + q1.scale(t))) for t in nodes]
+        )
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_integer_pencils(self, r):
+        rng = random.Random(60 + r)
+        for _ in range(6):
+            q0 = form(*(rng.randint(-9, 9) for _ in range(r + 1)))
+            q1 = form(*(rng.randint(-9, 9) for _ in range(r + 1)))
+            got = _disc_poly_in_t(q0, q1)
+            assert got == self.interpolated(q0, q1)
+            assert all(isinstance(c, int) for c in got)
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_rational_pencils(self, r):
+        rng = random.Random(70 + r)
+        for _ in range(6):
+            q0 = random_form(rng, r)
+            q1 = random_form(rng, r)
+            assert _disc_poly_in_t(q0, q1) == self.interpolated(q0, q1)
+
+    @pytest.mark.parametrize("r", range(2, 7))
+    def test_identically_zero_discriminant(self, r):
+        # every member shares the double root x = 0
+        rng = random.Random(80 + r)
+        square = BinaryForm.from_roots([F(0), F(0)])
+        q0 = square * random_form(rng, r - 2)
+        q1 = square * random_form(rng, r - 2)
+        assert _disc_poly_in_t(q0, q1) == [] == self.interpolated(q0, q1)
+
+    def test_pencil_through_a_square(self):
+        # q0 = x^2 - y^2, q1 = 2xy: disc(q0 + t q1) = -4 (1 + t^2)
+        got = _disc_poly_in_t(form(1, 0, -1), form(0, 2, 0))
+        assert got == [-4, 0, -4]
 
 
 class TestRankHistogram:
