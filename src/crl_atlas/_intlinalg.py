@@ -158,24 +158,18 @@ def det(rows: list[list]) -> Fraction:
     return Fraction(sign * a[n - 1][n - 1], prod(scales))
 
 
-def solve(a_rows: list[list[Fraction]], b: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system by Gaussian elimination.
+def solve(a_rows: list[list], b: list) -> list[Fraction] | None:
+    """Solve the square rational system A x = b through kernel_basis.
 
-    Returns None when the matrix is singular. Used only for tiny systems
-    (Gram matrices of kernel bases), so plain Fraction pivoting is fine.
+    The kernel of [A | -b] is spanned by (x, 1) exactly when A is
+    nonsingular. Returns None when A is singular: the kernel is then
+    more than one-dimensional (consistent b) or every element has last
+    entry 0 (inconsistent b).
     """
     n = len(a_rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a_rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        for i in range(n):
-            if i == col or aug[i][col] == 0:
-                continue
-            factor = aug[i][col] / inv
-            for c in range(col, n + 1):
-                aug[i][c] -= factor * aug[col][c]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
+    rows = [list(row) + [-b[i]] for i, row in enumerate(a_rows)]
+    kernel = kernel_basis(rows, n + 1)
+    if len(kernel) != 1 or kernel[0][n] == 0:
+        return None
+    v = kernel[0]
+    return [Fraction(x, v[n]) for x in v[:n]]

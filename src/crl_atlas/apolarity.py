@@ -100,11 +100,12 @@ def apply_operator(q: BinaryForm, f: BinaryForm) -> BinaryForm:
     return BinaryForm(out_deg, tuple(coeffs))
 
 
-def first_kernel_degree(f: BinaryForm) -> int:
-    """Smallest r >= 1 with a nonzero degree-r apolar operator."""
+def first_kernel(f: BinaryForm) -> ApolarSpace:
+    """The apolar space of the smallest degree r >= 1 where it is nonzero."""
     for r in range(1, f.degree + 1):
-        if apolar_kernel(f, r).dim > 0:
-            return r
+        space = apolar_kernel(f, r)
+        if space.dim:
+            return space
     raise ArithmeticError("no apolar operator found up to degree d")
 
 
@@ -156,9 +157,9 @@ def apolar_generators(f: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
     if is_dth_power(f):
         raise ValueError("apolar ideal is principal-like (excluded case)")
     d = f.degree
-    e1 = first_kernel_degree(f)
+    space1 = first_kernel(f)
+    e1 = space1.r
     e2 = d + 2 - e1
-    space1 = apolar_kernel(f, e1)
     g = space1.basis[0]
 
     if e1 == e2:

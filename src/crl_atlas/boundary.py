@@ -27,11 +27,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .apolarity import is_generic_degrees, scaled_coefficients
+from .apolarity import catalecticant, is_generic_degrees, scaled_coefficients
 from .config import RunConfig
 from .partitions import Partition, enumerate_partitions, format_partition
 from .poly_core import BinaryForm
-from .rank import SearchBudget, _derive_seed, real_rank
+from .rank import SearchBudget, _derive_seed, parallel_map, real_rank
 
 __all__ = [
     "BoundaryCandidateSet",
@@ -170,13 +170,6 @@ def _witness_vector(thetas, mults) -> np.ndarray:
     return b
 
 
-def _normalized_catalecticant(f: BinaryForm, s: int) -> np.ndarray:
-    a = np.array([float(x) for x in scaled_coefficients(f)])
-    a = a / np.linalg.norm(a)
-    d = f.degree
-    return np.array([[a[i + j] for j in range(s + 1)] for i in range(d - s + 1)])
-
-
 def _residual_components(thetas, matrix, mults) -> np.ndarray:
     b = _witness_vector(thetas, mults)
     return matrix @ b / np.linalg.norm(b)
@@ -239,7 +232,8 @@ def dual_membership(
     n = len(mu)
     s = f.degree - n
     mults = tuple(mu)
-    matrix = _normalized_catalecticant(f, s)
+    norm = np.linalg.norm(np.array(scaled_coefficients(f), dtype=float))
+    matrix = np.array(catalecticant(f, s).entries, dtype=float) / norm
 
     starts = _start_angles(n, config.seed)
     scored = []
@@ -328,11 +322,9 @@ def _path_form(f_from: BinaryForm, f_to: BinaryForm, eps: Fraction) -> BinaryFor
     return f_from.scale(1 - eps) + f_to.scale(eps)
 
 
-def _grid_rank(args) -> tuple[int, int, BinaryForm]:
-    f_from, f_to, i, steps, budget, seed = args
-    f = _path_form(f_from, f_to, Fraction(i, steps))
-    cert = real_rank(f, budget=budget, seed=seed)
-    return i, cert.value, cert.witness
+def _grid_rank(args) -> int:
+    f_from, f_to, eps, budget, seed = args
+    return real_rank(_path_form(f_from, f_to, eps), budget=budget, seed=seed).value
 
 
 def crossing_scan(
@@ -347,9 +339,9 @@ def crossing_scan(
     Ranks are evaluated on an exact rational grid, each change is
     bisected to an interval of width 1e-10, and the form at the
     interval midpoint is tested against the expected candidate duals
-    for the smaller of the two ranks.  Witnesses found at nearby points
-    are passed along as hints, which keeps the randomized part of the
-    rank computation rarely needed.
+    for the smaller of the two ranks.  Every rank depends only on its
+    form, the budget and the seed, so the grid ranks are the same for
+    any number of worker processes.
     """
     if config is None:
         config = RunConfig()
@@ -365,40 +357,22 @@ def crossing_scan(
     d = f_from.degree
     budget = SearchBudget(samples=config.rank_samples, restarts=config.multistarts)
 
-    grid: list[tuple[int, BinaryForm | None]] = [(0, None)] * (steps + 1)
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        jobs = [(f_from, f_to, i, steps, budget, config.seed) for i in range(steps + 1)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for i, value, witness in pool.map(_grid_rank, jobs, chunksize=4):
-                grid[i] = (value, witness)
-    else:
-        hints: list[BinaryForm] = []
-        for i in range(steps + 1):
-            f = _path_form(f_from, f_to, Fraction(i, steps))
-            cert = real_rank(f, budget=budget, seed=config.seed, hints=tuple(hints))
-            grid[i] = (cert.value, cert.witness)
-            hints = ([cert.witness] + hints)[:3]
+    jobs = [
+        (f_from, f_to, Fraction(i, steps), budget, config.seed)
+        for i in range(steps + 1)
+    ]
+    grid = parallel_map(_grid_rank, jobs, threads)
 
     events: list[CrossingEvent] = []
     for i in range(steps):
-        r_left, w_left = grid[i]
-        r_right, w_right = grid[i + 1]
+        r_left, r_right = grid[i], grid[i + 1]
         if r_left == r_right:
             continue
         lo, hi = Fraction(i, steps), Fraction(i + 1, steps)
-        hints = [w for w in (w_left, w_right) if w is not None]
         while hi - lo > _BISECT_WIDTH:
             mid = (lo + hi) / 2
-            cert = real_rank(
-                _path_form(f_from, f_to, mid),
-                budget=budget,
-                seed=config.seed,
-                hints=tuple(hints),
-            )
-            hints = ([cert.witness] + hints)[:4]
-            if cert.value == r_left:
+            f = _path_form(f_from, f_to, mid)
+            if real_rank(f, budget=budget, seed=config.seed).value == r_left:
                 lo = mid
             else:
                 hi = mid

@@ -7,16 +7,18 @@ Usage sketches:
     crl-atlas polar-degree --partition 4,3,2,2 --j 1
     crl-atlas pullback --partition 3,2 --j 1
     crl-atlas rank --degree 5 --coeffs "1,0,0,0,1,0" --field real
-    crl-atlas histogram --d 4 --samples 500 --seed 0
+    crl-atlas --seed 0 histogram --d 4 --samples 500
     crl-atlas boundary candidates --d 7 --r 5 --mode theorem
     crl-atlas boundary membership --mu 3,2 --coeffs "1,0,0,0,1,0"
     crl-atlas boundary cross --d 5 --from "..." --to "..." --steps 200
     crl-atlas selfcheck
 
-Every artifact echoes the full run configuration.  Exit codes: 0 success,
-1 check failure, 2 usage error, 3 inconclusive-verdict-only results.
-All randomness is seeded (default 0); outputs carry no wall-clock entropy,
-so identical invocations produce identical bytes.
+Global options (seed, budgets, tolerances, format, threads) go before
+the subcommand, and only there.  Every artifact echoes the full run
+configuration.  Exit codes: 0 success, 1 check failure, 2 usage error,
+3 inconclusive-verdict-only results.  All randomness is seeded (default
+0); outputs carry no wall-clock entropy, so identical invocations produce
+identical bytes.
 """
 from __future__ import annotations
 
@@ -24,7 +26,6 @@ import csv
 import io
 import json
 import os
-from dataclasses import replace
 from fractions import Fraction
 
 import click
@@ -321,21 +322,10 @@ def pullback(ctx, partition_text, j):
               help="Comma-separated rational coefficients c0,...,cd.")
 @click.option("--field", default="real", show_default=True,
               type=click.Choice(["real", "complex"]))
-@click.option("--budget", default=None, type=int,
-              help="Override the randomized-search sample budget.")
-@click.option("--seed", "seed_override", default=None, type=int,
-              help="Override the global seed for this command.")
 @click.pass_context
-def rank(ctx, degree_, coeffs, field, budget, seed_override):
+def rank(ctx, degree_, coeffs, field):
     """Waring rank certificate for one binary form."""
     config: RunConfig = ctx.obj["config"]
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
-    if budget is not None:
-        try:
-            config = replace(config, rank_samples=budget)
-        except ValueError as err:
-            raise click.UsageError(str(err))
     f = _parse_form(coeffs, degree_)
     try:
         if field == "complex":
@@ -360,13 +350,10 @@ def rank(ctx, degree_, coeffs, field, budget, seed_override):
 @click.option("--samples", default=500, show_default=True, type=int)
 @click.option("--distribution", default="gaussian", show_default=True,
               type=click.Choice(["gaussian", "uniform"]))
-@click.option("--seed", "seed_override", default=None, type=int)
 @click.pass_context
-def histogram(ctx, d, samples, distribution, seed_override):
+def histogram(ctx, d, samples, distribution):
     """Real-rank histogram over seeded random forms."""
     config: RunConfig = ctx.obj["config"]
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
     threads = _resolve_threads(ctx.obj["threads"])
     budget = SearchBudget(
         samples=config.rank_samples, restarts=config.multistarts
@@ -422,13 +409,10 @@ def candidates(ctx, d, r, mode):
               help="Root-multiplicity partition of the dual variety.")
 @click.option("--coeffs", required=True,
               help="Comma-separated rational coefficients of f.")
-@click.option("--seed", "seed_override", default=None, type=int)
 @click.pass_context
-def membership(ctx, mu_text, coeffs, seed_override):
+def membership(ctx, mu_text, coeffs):
     """Numerical test: does f lie on the dual variety of mu?"""
     config: RunConfig = ctx.obj["config"]
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
     mu = _parse_partition_arg(mu_text)
     f = _parse_form(coeffs)
     try:
@@ -452,13 +436,10 @@ def membership(ctx, mu_text, coeffs, seed_override):
 @click.option("--to", "to_text", required=True,
               help="Coefficients of the ending form.")
 @click.option("--steps", default=200, show_default=True, type=int)
-@click.option("--seed", "seed_override", default=None, type=int)
 @click.pass_context
-def cross(ctx, d, from_text, to_text, steps, seed_override):
+def cross(ctx, d, from_text, to_text, steps):
     """Scan the segment between two forms for rank crossings."""
     config: RunConfig = ctx.obj["config"]
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
     threads = _resolve_threads(ctx.obj["threads"])
     f_from = _parse_form(from_text, d)
     f_to = _parse_form(to_text, d)

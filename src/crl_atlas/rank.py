@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import _intlinalg
-from .apolarity import ApolarSpace, apolar_kernel, scaled_coefficients
+from .apolarity import ApolarSpace, apolar_kernel, first_kernel, scaled_coefficients
 from .poly_core import (
     BinaryForm,
     discriminant,
@@ -43,6 +43,7 @@ __all__ = [
     "complex_rank",
     "real_rank",
     "rank_histogram",
+    "parallel_map",
 ]
 
 
@@ -233,13 +234,8 @@ def complex_rank(f: BinaryForm) -> RankCertificate:
     d = f.degree
     if d < 1:
         raise ValueError("rank needs degree at least 1")
-    for r in range(1, d + 1):
-        space = apolar_kernel(f, r)
-        if space.dim:
-            e1 = r
-            break
-    else:
-        raise ArithmeticError("no apolar operator found up to degree d")
+    space = first_kernel(f)
+    e1 = space.r
     witness = _first_squarefree_element(space)
     if witness is not None:
         return RankCertificate(e1, "complex", witness, "exact")
@@ -288,10 +284,10 @@ def _derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-def _project_onto_kernel(space: ApolarSpace, hint: BinaryForm) -> BinaryForm | None:
-    """Orthogonal projection of hint onto the kernel span, done exactly."""
+def _project_onto_kernel(space: ApolarSpace, target: BinaryForm) -> BinaryForm | None:
+    """Orthogonal projection of target onto the kernel span, done exactly."""
     basis = [[Fraction(c) for c in b.coeffs] for b in space.basis]
-    v = [Fraction(c) for c in hint.coeffs]
+    v = [Fraction(c) for c in target.coeffs]
     gram = [[sum(x * y for x, y in zip(bi, bj)) for bj in basis] for bi in basis]
     rhs = [sum(x * y for x, y in zip(bi, v)) for bi in basis]
     coeffs = _intlinalg.solve(gram, rhs)
@@ -299,14 +295,6 @@ def _project_onto_kernel(space: ApolarSpace, hint: BinaryForm) -> BinaryForm | N
         return None
     q = _combine(space.basis, coeffs)
     return None if q.is_zero else q.primitive()
-
-
-def _shrink_coords(vec: list[int], cap: int = 64) -> list[int]:
-    big = max(abs(c) for c in vec)
-    if big <= cap:
-        return vec
-    scaled = [round(c * cap / big) for c in vec]
-    return scaled if any(scaled) else vec
 
 
 def _imag_defect(coeffs) -> float:
@@ -337,7 +325,6 @@ def _random_real_rooted_search(
     space: ApolarSpace,
     budget: SearchBudget,
     seed: int,
-    starts: list[list[int]],
 ) -> tuple[BinaryForm | None, int]:
     """Randomized hunt for a real-rooted kernel element.
 
@@ -384,31 +371,19 @@ def _random_real_rooted_search(
             return None
         for bits in (40, 80, 120):
             fracs = [Fraction(round(c * 2**bits / top), 2**bits) for c in coeffs]
-            hint = BinaryForm(basis[0].degree, tuple(fracs))
-            q = _project_onto_kernel(space, hint)
+            snapped = BinaryForm(basis[0].degree, tuple(fracs))
+            q = _project_onto_kernel(space, snapped)
             if q is not None:
                 got = certify(q)
                 if got is not None:
                     return got
         return None
 
-    for vec in starts:
-        got = certify(_combine(basis, vec))
-        if got is not None:
-            return got, used
-
     # phase 1: integer combos, scored in float, certified exactly when
     # the score is plausible; best scorers seed the descent phase
     balanced_f = np.array(
         [[float(c) / 2**p for c in b.coeffs] for b, p in zip(basis, scale_pows)]
     )
-
-    def combine_balanced(vec) -> BinaryForm:
-        q = BinaryForm.zero(basis[0].degree)
-        for v, b in zip(vec, balanced):
-            if v:
-                q = q + b.scale(Fraction(v))
-        return q
 
     scored: list[tuple[float, tuple[int, ...]]] = []
     for _ in range(budget.samples):
@@ -419,12 +394,12 @@ def _random_real_rooted_search(
         score = _imag_defect(np.array(vec) @ balanced_f)
         scored.append((score, vec))
         if score < 1e-9:
-            got = certify(combine_balanced(vec))
+            got = certify(_combine(balanced, vec))
             if got is not None:
                 return got, used
     scored.sort(key=lambda item: item[0])
     for _, vec in scored[:20]:
-        got = certify(combine_balanced(vec))
+        got = certify(_combine(balanced, vec))
         if got is not None:
             return got, used
 
@@ -475,7 +450,6 @@ def real_rank(
     f: BinaryForm,
     budget: SearchBudget | None = None,
     seed: int = 0,
-    hints: tuple[BinaryForm, ...] = (),
 ) -> RankCertificate:
     """Waring rank of f over the reals, scanning r upward with witnesses.
 
@@ -508,19 +482,6 @@ def real_rank(
             refutations.append((r, "empty kernel"))
             continue
 
-        matching = [h for h in hints if h.degree == r]
-        hinted: list[BinaryForm] = []
-        for h in matching:
-            proj = _project_onto_kernel(space, h)
-            if proj is not None:
-                hinted.append(proj)
-                if is_real_rooted(proj):
-                    kind = _kind(refutations)
-                    return RankCertificate(
-                        r, "real", proj.primitive(), kind, used_total,
-                        tuple(refutations),
-                    )
-
         if space.dim == 1:
             q = space.basis[0]
             if is_real_rooted(q):
@@ -549,12 +510,7 @@ def real_rank(
             continue
 
         run_seed = _derive_seed(seed, "real-rank", f.coeffs, r)
-        starts = []
-        for proj in hinted:
-            coords = _kernel_coordinates(space, proj)
-            if coords is not None:
-                starts.append(coords)
-        got, used = _random_real_rooted_search(space, budget, run_seed, starts)
+        got, used = _random_real_rooted_search(space, budget, run_seed)
         used_total += used
         if got is not None:
             return RankCertificate(
@@ -576,22 +532,6 @@ def _kind(refutations: list[tuple[int, str]]) -> str:
     return "exact"
 
 
-def _kernel_coordinates(space: ApolarSpace, member: BinaryForm) -> list[int] | None:
-    """Integer coordinates of a kernel member in the stored basis."""
-    rows = [[Fraction(c) for c in b.coeffs] for b in space.basis]
-    gram = [[sum(x * y for x, y in zip(bi, bj)) for bj in rows] for bi in rows]
-    rhs = [
-        sum(x * Fraction(y) for x, y in zip(bi, member.coeffs)) for bi in rows
-    ]
-    coeffs = _intlinalg.solve(gram, rhs)
-    if coeffs is None:
-        return None
-    ints, _ = _intlinalg.clear_denominators(coeffs)
-    if not any(ints):
-        return None
-    return _shrink_coords(ints)
-
-
 _SNAP = 1 << 40
 
 
@@ -610,12 +550,30 @@ def _sample_form(d: int, rng: random.Random, distribution: str) -> BinaryForm:
     return BinaryForm(d, tuple(coeffs))
 
 
-def _histogram_sample(args) -> tuple[int, int]:
+def parallel_map(fn, jobs: list, threads: int = 1) -> list:
+    """[fn(job) for job in jobs], on up to ``threads`` worker processes.
+
+    Results come back in job order.  fn must be a module-level function
+    so that the pool can pickle it, and each job must carry everything
+    fn depends on (seeds included), so the result never depends on the
+    worker count.  Each worker takes about four chunks, which balances
+    uneven jobs without paying a round trip per job.
+    """
+    if threads <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = max(1, len(jobs) // (4 * threads))
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, jobs, chunksize=chunksize))
+
+
+def _histogram_sample(args) -> int:
     d, index, seed, distribution, budget = args
     rng = random.Random(_derive_seed(seed, "histogram", d, index))
     f = _sample_form(d, rng, distribution)
     cert = real_rank(f, budget=budget, seed=_derive_seed(seed, "hist-rank", d, index))
-    return index, cert.value
+    return cert.value
 
 
 def rank_histogram(
@@ -640,13 +598,6 @@ def rank_histogram(
         raise ValueError("distribution must be 'gaussian' or 'uniform'")
     jobs = [(d, i, seed, distribution, budget) for i in range(n_samples)]
     counts: dict[int, int] = {}
-    if threads <= 1:
-        results = map(_histogram_sample, jobs)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_histogram_sample, jobs, chunksize=8))
-    for _, value in sorted(results):
+    for value in parallel_map(_histogram_sample, jobs, threads):
         counts[value] = counts.get(value, 0) + 1
     return dict(sorted(counts.items()))

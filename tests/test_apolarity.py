@@ -10,7 +10,7 @@ from crl_atlas.apolarity import (
     apolar_kernel,
     apply_operator,
     catalecticant,
-    first_kernel_degree,
+    first_kernel,
     is_dth_power,
     is_generic_degrees,
     scaled_coefficients,
@@ -225,7 +225,7 @@ class TestApolarGenerators:
                 continue
             g, g2 = apolar_generators(f)
             assert g.degree + g2.degree == d + 2
-            assert g.degree == first_kernel_degree(f)
+            assert g.degree == first_kernel(f).r
             assert gcd_poly(g, g2).degree == 0
             assert apply_operator(g, f).is_zero
             assert apply_operator(g2, f).is_zero

@@ -272,12 +272,22 @@ class TestCrossingScan:
             assert real_rank(segment_form(f_from, f_to, eps)).value == 4
 
     def test_threaded_scan_matches_serial(self):
-        f_from, f_to = quartic_segment()
-        serial = crossing_scan(f_from, f_to, 24)
-        threaded = crossing_scan(f_from, f_to, 24, threads=2)
+        # every quartic rank is exact; the quintic's rank-4 points are
+        # found by the randomized search, where worker count must not matter
+        quintic = (
+            form(2, 10, 40, 80, 80, 33),  # x^5 + (x+2y)^5 + y^5
+            BinaryForm.from_roots([F(i) for i in range(1, 6)]),
+        )
         key = lambda e: (e.eps_lo, e.eps_hi, e.r_left, e.r_right,
                          tuple(m.verdict for m in e.memberships))
-        assert [key(e) for e in serial] == [key(e) for e in threaded]
+        for (f_from, f_to), config, walls in (
+            (quartic_segment(), RunConfig(), {(3, 4)}),
+            (quintic, RunConfig(rank_samples=500, multistarts=12), {(3, 4), (4, 5)}),
+        ):
+            serial = crossing_scan(f_from, f_to, 24, config)
+            threaded = crossing_scan(f_from, f_to, 24, config, threads=2)
+            assert [key(e) for e in serial] == [key(e) for e in threaded]
+            assert {(e.r_left, e.r_right) for e in serial} == walls
 
     def test_event_json_shape(self):
         f_from, f_to = quartic_segment()

@@ -216,6 +216,15 @@ class TestOutputEnvelope:
         assert list(doc)[0] == "config"
         assert doc["config"]["seed"] == 9
         assert doc["config"]["output_format"] == "json"
+        res = run("--seed", "7", "--rank-samples", "300", "rank",
+                  "--degree", "5", "--coeffs", TestRank.COEFFS)
+        assert res.exit_code == 0
+        config = json.loads(res.output)["config"]
+        assert (config["seed"], config["rank_samples"]) == (7, 300)
+        # options belong before the subcommand, and only there
+        res = run("rank", "--degree", "5", "--coeffs", TestRank.COEFFS,
+                  "--seed", "3")
+        assert res.exit_code == 2
 
     def test_text_leads_with_config(self):
         res = run("--format", "text", "degree", "-p", "3")

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import crl_atlas.apolarity
 import crl_atlas.rank
 from crl_atlas.apolarity import apply_operator
 from crl_atlas.poly_core import (
@@ -103,13 +104,15 @@ class TestComplexRank:
     def test_generic_quartic_builds_each_kernel_once(self, monkeypatch):
         # r = 1, 2 come back empty, r = 3 is the pencil that holds the witness
         calls = []
-        original = crl_atlas.rank.apolar_kernel
+        original = crl_atlas.apolarity.apolar_kernel
 
         def counted(f, r):
             calls.append(r)
             return original(f, r)
 
-        monkeypatch.setattr(crl_atlas.rank, "apolar_kernel", counted)
+        # first_kernel (in apolarity) builds r = 1, 2, 3; rank builds the rest
+        for module in (crl_atlas.apolarity, crl_atlas.rank):
+            monkeypatch.setattr(module, "apolar_kernel", counted)
         cert = complex_rank(form(1, 3, -2, 5, 7))
         assert cert.value == 3
         assert calls == [1, 2, 3]
