@@ -30,7 +30,7 @@ import numpy as np
 from .apolarity import catalecticant, is_generic_degrees, scaled_coefficients
 from .config import RunConfig
 from .partitions import Partition, enumerate_partitions, format_partition
-from .poly_core import BinaryForm
+from .poly_core import BinaryForm, is_real_rooted
 from .rank import SearchBudget, _derive_seed, parallel_map, real_rank
 
 __all__ = [
@@ -339,9 +339,13 @@ def crossing_scan(
     Ranks are evaluated on an exact rational grid, each change is
     bisected to an interval of width 1e-10, and the form at the
     interval midpoint is tested against the expected candidate duals
-    for the smaller of the two ranks.  Every rank depends only on its
-    form, the budget and the seed, so the grid ranks are the same for
-    any number of worker processes.
+    for the smaller of the two ranks.  A change between ranks d - 1 and
+    d is bisected on exact hyperbolicity, since a squarefree form has
+    real rank d exactly when it is hyperbolic; a midpoint that lies on
+    the discriminant counts as not hyperbolic.  Every other change is
+    bisected on ``real_rank``.  Every rank depends only on its form, the
+    budget and the seed, so the grid ranks are the same for any number
+    of worker processes.
     """
     if config is None:
         config = RunConfig()
@@ -369,10 +373,15 @@ def crossing_scan(
         if r_left == r_right:
             continue
         lo, hi = Fraction(i, steps), Fraction(i + 1, steps)
+        on_hyperbolicity_wall = {r_left, r_right} == {d - 1, d}
         while hi - lo > _BISECT_WIDTH:
             mid = (lo + hi) / 2
             f = _path_form(f_from, f_to, mid)
-            if real_rank(f, budget=budget, seed=config.seed).value == r_left:
+            if on_hyperbolicity_wall:
+                left = is_real_rooted(f) == (r_left == d)
+            else:
+                left = real_rank(f, budget=budget, seed=config.seed).value == r_left
+            if left:
                 lo = mid
             else:
                 hi = mid

@@ -38,7 +38,7 @@ def format_rational(x: Fraction | int) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryForm:
     """Homogeneous polynomial in x, y with exact rational coefficients."""
 
@@ -304,9 +304,13 @@ def uv_squarefree_part(p) -> UvPoly:
 
 
 def sturm_chain(p) -> list[IntPoly]:
-    """Sturm chain of a squarefree polynomial, primitive-integer normalized.
+    """Sturm chain of a nonzero polynomial, primitive-integer normalized.
 
     Every element is a positive multiple of the classical chain's element.
+    The last element is gcd(p, p') up to a constant, so p is squarefree
+    exactly when it is a constant; either way the sign variations at -oo
+    and +oo differ by the number of distinct real roots, because dividing
+    the whole chain by that gcd changes no variation.
     """
     chain = [_primitive(_intlinalg.clear_denominators(p)[0])]
     d = _deriv(chain[0])
@@ -528,29 +532,30 @@ def is_squarefree(f: BinaryForm) -> bool:
     """True when no projective root (including [1:0]) is repeated."""
     if f.is_zero:
         raise ValueError("squarefreeness of the zero form is undefined")
-    if f.degree <= 1:
-        return True
-    g1 = gcd_poly(f, derivative(f, "x"))
-    if g1.degree == 0:
-        return True
-    g2 = gcd_poly(g1, derivative(f, "y"))
-    return g2.degree == 0
+    return count_real_roots(f)[1]
 
 
 def count_real_roots(f: BinaryForm) -> tuple[int, bool]:
     """(number of distinct real projective roots, all roots simple).
 
-    The root [1:0] at infinity is counted through the explicit y-power
-    bookkeeping; the finite roots through a Sturm chain of the squarefree
-    part of the dehomogenization.
+    One Sturm chain of the dehomogenization decides both: f = y^a * g
+    has the root [1:0] when a > 0 and a repeated one when a > 1, g(z, 1)
+    keeps the degree of g, so its chain counts the finite roots from the
+    signs at -oo and +oo and ends in a constant exactly when they are
+    all simple.
     """
     if f.is_zero:
         raise ValueError("the zero form has no root count")
     if f.degree == 0:
         return 0, True
     a, p = _split_y_power(f)
-    finite = uv_count_real_roots(p) if uv_degree(p) >= 1 else 0
-    return finite + (1 if a > 0 else 0), is_squarefree(f)
+    at_infinity = 1 if a > 0 else 0
+    if len(p) < 2:
+        return at_infinity, a <= 1
+    chain = sturm_chain(p)
+    below = _variations(_sturm_signs_at_inf(chain, positive=False))
+    above = _variations(_sturm_signs_at_inf(chain, positive=True))
+    return below - above + at_infinity, a <= 1 and len(chain[-1]) == 1
 
 
 def is_real_rooted(f: BinaryForm) -> bool:

@@ -60,7 +60,7 @@ class SearchBudget:
             raise ValueError("budget values must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankCertificate:
     """Rank value together with the evidence that produced it."""
 

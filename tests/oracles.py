@@ -3,19 +3,24 @@
 Everything here reimplements functionality from scratch on purpose: the
 tests compare library results against these slower, structurally
 different routes, so shared bugs are unlikely.  Only `BinaryForm` and
-`Fraction` are used as data carriers.
+`Fraction` are used as data carriers, and `Fraction` appears only where
+a function takes or returns values: inside, polynomials are lists of
+integers.
 
 Root counting goes through Descartes' rule with interval bisection
-instead of Sturm chains.  Kernel computations use textbook Gaussian
-elimination over `Fraction` instead of the library's fraction-free
-integer elimination, and the operator-action matrix is assembled from
-raw monomial differentiation instead of the scaled Hankel pairing.
+(Vincent-Collins-Akritas: integer Taylor shifts by 1 and halvings)
+instead of Sturm chains, and squarefree parts through a pseudo-remainder
+Euclid on descending coefficient lists.  Kernel computations use
+textbook Gaussian elimination over `Fraction` instead of the library's
+fraction-free integer elimination, and the operator-action matrix is
+assembled from raw monomial differentiation instead of the scaled Hankel
+pairing.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm, perm
 
 from crl_atlas.poly_core import BinaryForm
 
@@ -23,22 +28,11 @@ from crl_atlas.poly_core import BinaryForm
 # dense univariate helpers, coefficients DESCENDING (leading first)
 
 
-def _strip(p: list[Fraction]) -> list[Fraction]:
+def _strip(p: list) -> list:
     i = 0
     while i < len(p) and p[i] == 0:
         i += 1
     return p[i:]
-
-
-def _poly_div(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    num = num[:]
-    out = []
-    for i in range(len(num) - len(den) + 1):
-        q = num[i] / den[0]
-        out.append(q)
-        for k, dc in enumerate(den):
-            num[i + k] -= q * dc
-    return out
 
 
 def _poly_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
@@ -51,27 +45,13 @@ def _poly_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Monic gcd by the rational Euclidean algorithm."""
     a, b = _strip(a), _strip(b)
     while b:
         a, b = b, _poly_rem(a, b)
     if not a:
         return []
     return [c / a[0] for c in a]
-
-
-def _deriv(p: list[Fraction]) -> list[Fraction]:
-    n = len(p) - 1
-    return [c * (n - i) for i, c in enumerate(p[:-1])]
-
-
-def squarefree_part(p: list[Fraction]) -> list[Fraction]:
-    p = _strip(p)
-    if len(p) <= 1:
-        return p
-    g = _poly_gcd(p, _deriv(p))
-    if len(g) <= 1:
-        return p
-    return _poly_div(p, g)
 
 
 def _eval(p: list[Fraction], x: Fraction) -> Fraction:
@@ -81,17 +61,74 @@ def _eval(p: list[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _taylor_shift(p: list[Fraction], c: Fraction) -> list[Fraction]:
-    """Ascending coefficients of p(t + c), by repeated synthetic division."""
-    work = p[:]
+def _integers(values) -> tuple[list[int], int]:
+    """(integers n_i, positive den) with values[i] == n_i / den."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _content_free(p: list[int]) -> list[int]:
+    """p without leading zeros, divided by the gcd of its coefficients."""
+    p = _strip(p)
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _int_rem(a: list[int], b: list[int]) -> list[int]:
+    """Content-free pseudo-remainder of a by b (both nonzero, descending)."""
+    a = a[:]
+    lb, nb = b[0], len(b)
+    while len(a) >= nb:
+        c = a.pop(0)
+        if c:
+            a = [lb * x for x in a]
+            for k in range(1, nb):
+                a[k - 1] -= c * b[k]
+    return _content_free(a)
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Content-free gcd of two nonzero integer polynomials, up to sign."""
+    while b:
+        a, b = b, _int_rem(a, b)
+    return a
+
+
+def _int_div(num: list[int], den: list[int]) -> list[int]:
+    """Exact quotient num / den over the integers."""
+    num = num[:]
     out = []
-    while work:
-        new = [work[0]]
-        for i in range(1, len(work)):
-            new.append(new[-1] * c + work[i])
-        out.append(new[-1])
-        work = new[:-1]
+    for i in range(len(num) - len(den) + 1):
+        q, r = divmod(num[i], den[0])
+        if r:
+            raise ArithmeticError("inexact integer polynomial division")
+        out.append(q)
+        for k, dc in enumerate(den):
+            num[i + k] -= q * dc
+    if any(num):
+        raise ArithmeticError("inexact integer polynomial division")
     return out
+
+
+def _int_squarefree(p: list[int]) -> list[int]:
+    """p divided by gcd(p, p'), for a nonzero content-free p."""
+    n = len(p) - 1
+    if n < 1:
+        return p
+    g = _int_gcd(p, _content_free([c * (n - i) for i, c in enumerate(p[:-1])]))
+    return p if len(g) == 1 else _int_div(p, g)
+
+
+def squarefree_part(p: list[Fraction]) -> list[Fraction]:
+    """p divided by its monic gcd with p'; the leading coefficient stays."""
+    p = _strip(p)
+    if len(p) <= 1:
+        return p
+    part = _int_squarefree(_content_free(_integers(p)[0]))
+    if len(part) == len(p):
+        return p
+    scale = Fraction(p[0]) / part[0]
+    return [c * scale for c in part]
 
 
 def _sign_changes(values) -> int:
@@ -99,49 +136,97 @@ def _sign_changes(values) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
-def _descartes_bound(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
-    """Descartes bound on the number of roots of p in the open (lo, hi).
+def _taylor_shift(asc: list[int], c: int = 1) -> list[int]:
+    """Ascending coefficients of q(t + c), by the classical Taylor shift."""
+    a = asc[:]
+    n = len(a) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return a
 
-    Exact when the bound is 0 or 1; otherwise an upper bound with the
-    right parity.  Chain of substitutions mapping (lo, hi) onto (0, inf):
-    shift by lo, scale by hi - lo, reverse, shift by 1.
+
+def _roots_in_unit_interval(asc: list[int]) -> int:
+    """Distinct roots in the open (0, 1) of a squarefree integer polynomial.
+
+    Descartes' rule on (1 + s)^n q(1 / (1 + s)) bounds the count and is
+    exact when the bound is 0 or 1; otherwise halve: 2^n q(t / 2) covers
+    (0, 1/2), its shift by one covers (1/2, 1), and its coefficient sum
+    is 2^n q(1/2).
+    """
+    bound = _sign_changes(_taylor_shift(asc[::-1]))
+    if bound <= 1:
+        return bound
+    n = len(asc) - 1
+    left = [c << (n - k) for k, c in enumerate(asc)]
+    right = _taylor_shift(left)
+    here = 1 if right[0] == 0 else 0
+    return _roots_in_unit_interval(left) + here + _roots_in_unit_interval(right)
+
+
+def _int_roots_in(p: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of squarefree integer p (descending) in the open (lo, hi).
+
+    With lo = a / D and hi = b / D, the map x = (a + (b - a) t) / D sends
+    (0, 1) onto (lo, hi), and D^n p((a + (b - a) t) / D) is an integer
+    polynomial in t.
     """
     n = len(p) - 1
-    asc = _taylor_shift(p, lo)
-    scale = hi - lo
-    asc = [c * scale**k for k, c in enumerate(asc)]
-    asc += [Fraction(0)] * (n + 1 - len(asc))
-    # the ascending coefficients of q are the descending ones of u^n q(1/u)
-    final = _taylor_shift(asc, Fraction(1))
-    return _sign_changes(final)
+    if n < 1:
+        return 0
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    width = hi.numerator * (den // hi.denominator) - a
+    # ascending coefficients of D^n p(u / D), then u = a + v, v = width * t
+    asc = _taylor_shift([c * den**i for i, c in enumerate(p)][::-1], a)
+    return _roots_in_unit_interval([c * width**k for k, c in enumerate(asc)])
 
 
 def count_roots_in(p: list[Fraction], lo: Fraction, hi: Fraction) -> int:
     """Exact count of distinct roots of squarefree p in the open (lo, hi)."""
-    bound = _descartes_bound(p, lo, hi)
-    if bound <= 1:
-        return bound
-    mid = (lo + hi) / 2
-    here = 1 if _eval(p, mid) == 0 else 0
-    return count_roots_in(p, lo, mid) + here + count_roots_in(p, mid, hi)
+    p = _strip(p)
+    if len(p) <= 1:
+        return 0
+    return _int_roots_in(_integers(p)[0], Fraction(lo), Fraction(hi))
+
+
+def _affine_part(f: BinaryForm) -> list[int]:
+    """Content-free integer coefficients of f(t, 1), leading zeros dropped."""
+    return _content_free(_integers(f.coeffs)[0])
+
+
+def _int_real_roots(p: list[int]) -> int:
+    """Distinct real roots of a squarefree integer polynomial (descending).
+
+    No root bound is needed: x -> 1/x sends (1, oo) onto (0, 1), and
+    x -> -x the negative roots onto the positive ones.
+    """
+    asc = p[::-1]
+    count = 0
+    if len(asc) > 1 and asc[0] == 0:
+        count, asc = 1, asc[1:]  # the root 0, simple since p is squarefree
+    if len(asc) <= 1:
+        return count
+    for q in (asc, [-c if k % 2 else c for k, c in enumerate(asc)]):
+        count += _roots_in_unit_interval(q) + (sum(q) == 0)
+        count += _roots_in_unit_interval(q[::-1])
+    return count
 
 
 def oracle_count_real_roots(f: BinaryForm) -> int:
     """Distinct real projective roots of f, counting [1:0] at infinity.
 
-    Independent route: squarefree part by Euclidean gcd, Cauchy root
-    bound, then Descartes bisection.
+    Independent route: squarefree part by a pseudo-remainder Euclid,
+    then Descartes bisection on (0, 1) after the maps x -> 1/x, x -> -x.
     """
-    p = _strip(list(f.coeffs))
     at_infinity = 1 if f.coeffs[0] == 0 else 0
-    if len(p) <= 1:
-        return at_infinity
-    p = squarefree_part(p)
-    if len(p) <= 1:
-        return at_infinity
-    # every affine root lies strictly inside the Cauchy bound
-    bound = Fraction(1) + max(abs(c / p[0]) for c in p[1:])
-    return count_roots_in(p, -bound, bound) + at_infinity
+    return _int_real_roots(_int_squarefree(_affine_part(f))) + at_infinity
+
+
+def oracle_is_squarefree(f: BinaryForm) -> bool:
+    """True when no projective root of f, [1:0] included, is repeated."""
+    p = _affine_part(f)
+    return len(f.coeffs) - len(p) <= 1 and len(_int_squarefree(p)) == len(p)
 
 
 def oracle_is_real_rooted(f: BinaryForm) -> bool:
@@ -152,14 +237,14 @@ def oracle_is_real_rooted(f: BinaryForm) -> bool:
     """
     if f.is_zero:
         return False
-    p = _strip(list(f.coeffs))
-    affine = p if len(p) <= 1 else squarefree_part(p)
+    p = _affine_part(f)
     drop = len(f.coeffs) - len(p)
     if drop > 1:
         return False  # y^2 divides f
-    if len(p) >= 2 and len(affine) != len(p):
+    affine = _int_squarefree(p)
+    if len(affine) != len(p):
         return False  # repeated affine root
-    return oracle_count_real_roots(f) == f.degree
+    return _int_real_roots(affine) + drop == f.degree
 
 
 # ---------------------------------------------------------------------------
@@ -233,21 +318,21 @@ def annihilated_forms(q: BinaryForm, d: int) -> list[BinaryForm]:
 def oracle_apply(q: BinaryForm, f: BinaryForm) -> BinaryForm:
     """q(Dx, Dy) applied to f by expanding raw monomial derivatives."""
     d, s = f.degree, q.degree
-    out = [Fraction(0)] * (d - s + 1)
-    for i, c in enumerate(f.coeffs):
+    fs, f_den = _integers(f.coeffs)
+    qs, q_den = _integers(q.coeffs)
+    out = [0] * (d - s + 1)
+    for i, c in enumerate(fs):
         if c == 0:
             continue
-        for j, b in enumerate(q.coeffs):
+        for j, b in enumerate(qs):
             if b == 0:
                 continue
             dx, dy = s - j, j
             if d - i < dx or i < dy:
                 continue
-            falling = (factorial(d - i) // factorial(d - i - dx)) * (
-                factorial(i) // factorial(i - dy)
-            )
-            out[i - dy] += c * b * falling
-    return BinaryForm(d - s, tuple(out))
+            out[i - dy] += c * b * perm(d - i, dx) * perm(i, dy)
+    den = f_den * q_den
+    return BinaryForm(d - s, tuple(Fraction(v, den) for v in out))
 
 
 def form_mul(f: BinaryForm, g: BinaryForm) -> BinaryForm:

@@ -28,8 +28,8 @@ from oracles import (
     gauss_kernel,
     oracle_apply,
     oracle_is_real_rooted,
+    oracle_is_squarefree,
     random_form,
-    squarefree_part,
 )
 
 
@@ -52,19 +52,6 @@ def hankel_kernel(f: BinaryForm, r: int) -> list[list[F]]:
     a = [c / comb(d, i) for i, c in enumerate(f.coeffs)]
     rows = [[a[i + j] for j in range(r + 1)] for i in range(d - r + 1)]
     return gauss_kernel(rows)
-
-
-def oracle_is_squarefree(q: BinaryForm) -> bool:
-    coeffs = list(q.coeffs)
-    lead = 0
-    while lead < len(coeffs) and coeffs[lead] == 0:
-        lead += 1
-    if lead > 1:
-        return False  # repeated root at [1:0]
-    p = coeffs[lead:]
-    if len(p) <= 1:
-        return True
-    return len(squarefree_part(p)) == len(p)
 
 
 def test_criterion_1_decomposition_table_regenerates_exactly():

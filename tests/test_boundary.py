@@ -1,10 +1,11 @@
 """Boundary candidates, dual membership, and segment crossing scans."""
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
-from crl_atlas.apolarity import apply_operator
+from crl_atlas.apolarity import apply_operator, is_generic_degrees
 from crl_atlas.boundary import (
     EXPECTED_SHARP,
     THEOREM_EXACT,
@@ -24,7 +25,7 @@ from crl_atlas.poly_core import (
 )
 from crl_atlas.rank import real_rank
 
-from oracles import annihilated_forms, form_mul, random_form
+from oracles import annihilated_forms, form_mul, oracle_is_real_rooted, random_form
 
 
 def form(*cs) -> BinaryForm:
@@ -304,3 +305,89 @@ class TestCrossingScan:
         assert out["r_left"] == 3 and out["r_right"] == 4
         assert out["memberships"][0]["mu"] == "4"
         assert F(out["eps_lo"]) <= F(out["eps_hi"])
+
+
+def power_sum(directions, d: int) -> BinaryForm:
+    """Sum of (a x + b y)^d over the given (a, b)."""
+    f = BinaryForm.zero(d)
+    for a, b in directions:
+        f = f + BinaryForm(
+            d, tuple(F(comb(d, i) * a ** (d - i) * b**i) for i in range(d + 1))
+        )
+    return f
+
+
+def seeded_quartic_segment(rng: random.Random):
+    """Three fourth powers to four distinct real linear factors."""
+    while True:
+        directions = set()
+        while len(directions) < 3:
+            a, b = rng.randint(1, 2), rng.randint(-3, 3)
+            if b and F(b, a) not in {F(y, x) for x, y in directions}:
+                directions.add((a, b))
+        f_from = power_sum(sorted(directions), 4)
+        roots = sorted(rng.sample(range(-4, 5), 4))
+        f_to = BinaryForm.from_roots([F(t) for t in roots]).scale(
+            F(rng.randint(1, 3000), rng.randint(1, 7))
+        )
+        if is_generic_degrees(f_from) and is_generic_degrees(f_to):
+            return f_from, f_to
+
+
+class TestHyperbolicityWalls:
+    """Walls into rank d are bisected on exact hyperbolicity."""
+
+    def assert_rank_d_walls_bracket_hyperbolicity(self, f_from, f_to, steps, root):
+        d = f_from.degree
+        walls = [
+            e for e in crossing_scan(f_from, f_to, steps)
+            if {e.r_left, e.r_right} == {d - 1, d}
+        ]
+        assert len(walls) == 1
+        e = walls[0]
+        ends = (
+            oracle_is_real_rooted(segment_form(f_from, f_to, e.eps_lo)),
+            oracle_is_real_rooted(segment_form(f_from, f_to, e.eps_hi)),
+        )
+        assert ends == (e.r_left == d, e.r_right == d)
+        # the exact root of disc(f_eps) in the cell, to 12 decimals
+        assert e.eps_lo < F(root) < e.eps_hi
+
+    def test_criterion_7_quintic_4_5_wall(self):
+        self.assert_rank_d_walls_bracket_hyperbolicity(
+            form(2, 10, 40, 80, 80, 33),  # x^5 + (x+2y)^5 + y^5
+            BinaryForm.from_roots([F(i) for i in range(1, 6)]),
+            200,
+            "0.999751979222",
+        )
+
+    def test_criterion_7_sextic_5_6_wall(self):
+        self.assert_rank_d_walls_bracket_hyperbolicity(
+            form(3, -6, 195, -380, 1455, -1266, 794),  # four sixth powers
+            BinaryForm.from_roots([F(i) for i in range(1, 7)]),
+            200,
+            "0.999926047422",
+        )
+
+    def test_quartic_brackets_match_a_real_rank_bisection(self):
+        # on quartics every rank is exact, so bisecting on real_rank and on
+        # hyperbolicity must give the same brackets, step for step; every
+        # other segment runs backwards, so the wall is a 4-3 event
+        rng = random.Random(1906)
+        steps = 12
+        for k in range(10):
+            f_from, f_to = seeded_quartic_segment(rng)
+            if k % 2:
+                f_from, f_to = f_to, f_from
+            events = crossing_scan(f_from, f_to, steps)
+            assert any({e.r_left, e.r_right} == {3, 4} for e in events)
+            for e in events:
+                i = int(e.eps_lo * steps)
+                lo, hi = F(i, steps), F(i + 1, steps)
+                while hi - lo > F(1, 10**10):
+                    mid = (lo + hi) / 2
+                    if real_rank(segment_form(f_from, f_to, mid)).value == e.r_left:
+                        lo = mid
+                    else:
+                        hi = mid
+                assert (e.eps_lo, e.eps_hi) == (lo, hi)

@@ -34,6 +34,7 @@ from oracles import (
     form_mul,
     oracle_count_real_roots,
     oracle_is_real_rooted,
+    oracle_is_squarefree,
     random_form,
     squarefree_part,
 )
@@ -163,7 +164,10 @@ class TestCountRealRoots:
                     [F(rng.randint(-2, 2))], infinity=rng.randint(0, 1)
                 )
                 f = form_mul(f, extra)
-            assert count_real_roots(f)[0] == oracle_count_real_roots(f)
+            count, simple = count_real_roots(f)
+            assert count == oracle_count_real_roots(f)
+            assert simple == oracle_is_squarefree(f)
+            assert is_real_rooted(f) == oracle_is_real_rooted(f)
 
 
 class TestIsRealRooted:
@@ -205,6 +209,44 @@ class TestIsRealRooted:
         for _ in range(120):
             f = random_form(rng, rng.randint(1, 7))
             assert is_real_rooted(f) == oracle_is_real_rooted(f)
+
+
+class TestOneChainEdgeCases:
+    """Where the one Sturm chain meets y-powers, constants and repeated roots.
+
+    The expected (count, all simple) tuples pin the projective convention:
+    [1:0] counts once, and y^2 makes the form not squarefree.
+    """
+
+    CASES = {
+        "constant": (form(F(-7, 3)), (0, True)),
+        "degree 1": (form(2, -3), (1, True)),
+        "y": (form(0, 1), (1, True)),
+        "y^2": (form(0, 0, 1), (1, False)),
+        "x*y": (form(0, 1, 0), (2, True)),
+        "x^2*y": (form(0, 1, 0, 0), (2, False)),
+        "double finite root": (BinaryForm.from_roots([F(1), F(1), F(-2)]), (2, False)),
+        "infinity and finite roots": (
+            BinaryForm.from_roots([F(1), F(-1, 2)], infinity=1), (3, True)
+        ),
+        "infinity and a complex pair": (form(0, 1, 0, 1), (1, True)),
+        "y^2 and finite roots": (
+            BinaryForm.from_roots([F(3), F(-1)], infinity=2), (3, False)
+        ),
+        "infinity and a double root": (
+            BinaryForm.from_roots([F(2), F(2)], infinity=1), (2, False)
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_against_oracle_and_previous_tuples(self, name):
+        f, expected = self.CASES[name]
+        count, simple = count_real_roots(f)
+        assert (count, simple) == expected
+        assert count == oracle_count_real_roots(f)
+        assert simple == is_squarefree(f) == oracle_is_squarefree(f)
+        assert is_real_rooted(f) == oracle_is_real_rooted(f)
+        assert is_real_rooted(f) == (simple and count == f.degree)
 
 
 class TestResultantDiscriminant:
