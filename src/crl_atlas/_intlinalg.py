@@ -75,16 +75,6 @@ def _bareiss(a: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def int_row_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
-
-    Returns (echelon rows, pivot column indices).
-    """
-    a = [list(r) for r in rows]
-    pivots, _ = _bareiss(a)
-    return a, pivots
-
-
 def matrix_rank(rows: list[list[Fraction]]) -> int:
     int_rows, _ = _as_int_rows(rows)
     return len(_bareiss(int_rows)[0])

@@ -1,12 +1,11 @@
-"""Catalecticant matrices and apolar ideals of binary forms.
+"""Catalecticant matrices and apolar kernels of binary forms.
 
 With f = sum_i C(d,i) a_i x^(d-i) y^i (so a_i = c_i / C(d,i) are the scaled
 coordinates), a differential operator q = sum_j b_j Dx^(r-j) Dy^j kills f
 exactly when the Hankel matrix A[i][j] = a_(i+j) of shape (d-r+1) x (r+1)
-kills the plain coefficient vector b. The apolar ideal of any binary form
-that is not a pure d-th power is generated by two coprime forms g, g2 with
-deg g + deg g2 = d + 2; this module computes those generators exactly and
-deterministically.
+kills the plain coefficient vector b. This module builds those matrices,
+their exact kernels (the degree-r slices of the apolar ideal, with a
+deterministic primitive integer basis) and the operator action itself.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import _intlinalg
-from .poly_core import BinaryForm, gcd_poly
+from .poly_core import BinaryForm
 
 
 def scaled_coefficients(f: BinaryForm) -> list[Fraction]:
@@ -109,15 +108,6 @@ def first_kernel(f: BinaryForm) -> ApolarSpace:
     raise ArithmeticError("no apolar operator found up to degree d")
 
 
-def is_dth_power(f: BinaryForm) -> bool:
-    """True when f is a d-th power of a linear form (catalecticant rank <= 1)."""
-    if f.is_zero:
-        return False
-    if f.degree == 0:
-        return True
-    return catalecticant(f, 1).rank() <= 1
-
-
 def is_generic_degrees(f: BinaryForm) -> bool:
     """Whether the apolar ideal is generated in the generic degree pair.
 
@@ -129,67 +119,3 @@ def is_generic_degrees(f: BinaryForm) -> bool:
     cat = catalecticant(f, r)
     rows, cols = cat.shape
     return cat.rank() == min(rows, cols)
-
-
-def _span_reduce(vec: list[Fraction], echelon: list[list[Fraction]], pivots: list[int]) -> list[Fraction]:
-    """Reduce vec modulo the row span of an echelonized basis."""
-    v = list(vec)
-    for row, p in zip(echelon, pivots):
-        if v[p]:
-            factor = v[p] / row[p]
-            for c in range(len(v)):
-                v[c] -= factor * row[c]
-    return v
-
-
-def apolar_generators(f: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
-    """The two generators (g, g2) of the apolar ideal, deg g + deg g2 = d + 2.
-
-    g spans (or leads) the first nonzero kernel; g2 is a degree d+2-deg(g)
-    kernel element outside g times the complementary-degree forms, reduced
-    modulo that subspace and cleared to primitive integer coefficients, so
-    the output is deterministic. Pure d-th powers are rejected: their apolar
-    ideal needs only one generator in degree 1 plus one in degree d + 1,
-    and the reduction below has no second kernel direction to work with.
-    """
-    if f.is_zero:
-        raise ValueError("the zero form has no apolar generators")
-    if is_dth_power(f):
-        raise ValueError("apolar ideal is principal-like (excluded case)")
-    d = f.degree
-    space1 = first_kernel(f)
-    e1 = space1.r
-    e2 = d + 2 - e1
-    g = space1.basis[0]
-
-    if e1 == e2:
-        if space1.dim < 2:
-            raise ArithmeticError("expected a two-dimensional minimal kernel")
-        multiples = [list(g.coeffs)]
-    else:
-        # g * (monomial basis of degree e2-e1), as vectors of length e2+1
-        multiples = []
-        shift = e2 - e1
-        for k in range(shift + 1):
-            vec = [Fraction(0)] * (e2 + 1)
-            for i, c in enumerate(g.coeffs):
-                vec[i + k] += c
-            multiples.append(vec)
-
-    int_rows, _ = _intlinalg._as_int_rows(multiples)
-    ech, pivots = _intlinalg.int_row_echelon(int_rows)
-    ech_frac = [[Fraction(x) for x in row] for row in ech[: len(pivots)]]
-
-    space2 = apolar_kernel(f, e2)
-    for cand in space2.basis:
-        reduced = _span_reduce(list(cand.coeffs), ech_frac, pivots)
-        if any(reduced):
-            g2 = BinaryForm(e2, tuple(reduced)).primitive()
-            break
-    else:
-        raise ArithmeticError("no second generator outside g*D was found")
-
-    common = gcd_poly(g, g2)
-    if common.degree != 0:
-        raise AssertionError("apolar generators are not coprime")
-    return g, g2

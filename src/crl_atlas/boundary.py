@@ -31,7 +31,7 @@ from .apolarity import catalecticant, is_generic_degrees, scaled_coefficients
 from .config import RunConfig
 from .partitions import Partition, enumerate_partitions, format_partition
 from .poly_core import BinaryForm, is_real_rooted
-from .rank import SearchBudget, _derive_seed, parallel_map, real_rank
+from .rank import SearchBudget, _derive_seed, parallel_map, real_rank, root_chart
 
 __all__ = [
     "BoundaryCandidateSet",
@@ -161,17 +161,8 @@ class MembershipReport:
         }
 
 
-def _witness_vector(thetas, mults) -> np.ndarray:
-    b = np.array([1.0])
-    for theta, m in zip(thetas, mults):
-        factor = np.array([math.cos(theta), -math.sin(theta)])
-        for _ in range(m - 1):
-            b = np.convolve(b, factor)
-    return b
-
-
-def _residual_components(thetas, matrix, mults) -> np.ndarray:
-    b = _witness_vector(thetas, mults)
+def _residual_components(thetas, matrix, exponents) -> np.ndarray:
+    b = root_chart(thetas, exponents)
     return matrix @ b / np.linalg.norm(b)
 
 
@@ -209,7 +200,8 @@ def dual_membership(
 ) -> MembershipReport:
     """Test whether f lies on the dual variety with root pattern mu.
 
-    Multistart local descent over the root angles; verdict "on" below
+    Local descents over the root angles, from the start grid in order of
+    grid residual, until one ends below tol_on; verdict "on" below
     tol_on, "off" when every start ends above tol_off, "inconclusive"
     otherwise.  Only real roots are searched, so a form whose nearest
     witness has complex roots comes back off or inconclusive.
@@ -231,14 +223,14 @@ def dual_membership(
         )
     n = len(mu)
     s = f.degree - n
-    mults = tuple(mu)
+    exponents = tuple(m - 1 for m in mu)
     norm = np.linalg.norm(np.array(scaled_coefficients(f), dtype=float))
     matrix = np.array(catalecticant(f, s).entries, dtype=float) / norm
 
     starts = _start_angles(n, config.seed)
     scored = []
     for combo in starts:
-        res = float(np.linalg.norm(_residual_components(combo, matrix, mults)))
+        res = float(np.linalg.norm(_residual_components(combo, matrix, exponents)))
         scored.append((res, combo))
     scored.sort(key=lambda item: item[0])
 
@@ -246,31 +238,23 @@ def dual_membership(
         fit = least_squares(
             _residual_components,
             np.array(combo),
-            args=(matrix, mults),
+            args=(matrix, exponents),
             method="lm",
             max_nfev=400,
         )
         return float(np.linalg.norm(fit.fun)), tuple(fit.x)
 
     best_res, best_thetas = scored[0]
-    if best_res >= config.tol_on:
-        for res0, combo in scored[: config.multistarts]:
-            res, thetas = _descend(combo)
-            if res < best_res:
-                best_res, best_thetas = res, thetas
-            if best_res < config.tol_on:
-                break
-    if best_res >= config.tol_on:
-        # The grid residual is a weak basin predictor: descents from the
-        # top-ranked starts can all stall in wrong basins while a start
-        # further down converges.  Sweep the rest of the grid before
-        # settling on a non-on verdict.
-        for res0, combo in scored[config.multistarts :]:
-            res, thetas = _descend(combo)
-            if res < best_res:
-                best_res, best_thetas = res, thetas
-            if best_res < config.tol_on:
-                break
+    # The grid residual is a weak basin predictor: descents from the
+    # top-ranked starts can all stall in wrong basins while a start
+    # further down converges.  So the sweep may run through the whole
+    # grid before settling on a non-on verdict.
+    for _, combo in scored:
+        if best_res < config.tol_on:
+            break
+        res, thetas = _descend(combo)
+        if res < best_res:
+            best_res, best_thetas = res, thetas
 
     if best_res < config.tol_on:
         verdict = "on"
@@ -278,7 +262,7 @@ def dual_membership(
         verdict = "off"
     else:
         verdict = "inconclusive"
-    b = _witness_vector(best_thetas, mults)
+    b = root_chart(best_thetas, exponents)
     b = b / np.linalg.norm(b)
     return MembershipReport(
         mu,

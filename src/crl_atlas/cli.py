@@ -147,7 +147,7 @@ def _fail(message: str) -> None:
 @click.option("--rank-samples", default=2000, show_default=True, type=int,
               help="Randomized rank search: candidate samples per degree.")
 @click.option("--multistarts", default=50, show_default=True, type=int,
-              help="Descent restarts for rank search and membership.")
+              help="Descent restarts for the randomized rank search.")
 @click.option("--format", "output_format", default="json", show_default=True,
               type=click.Choice(["json", "csv", "text"]))
 @click.option("--threads", default=None, type=int,

@@ -2,13 +2,13 @@
 
 For a partition lam of r with n parts, Delta_lam denotes the variety of
 binary r-forms that factor as a product of linear forms with multiplicities
-lam. Its degree, the degree and codimension of its dual, and the dimensions
-of the higher contact loci CH_j all have closed product formulas; the
-decomposition of the rank-map preimage of CH_j(Delta_lam) into dual
-hypersurfaces (Delta_mu)^v is generated from the children of lam. The
-component multiplicities carry a conjectural status flag: they are proven
-for all weights up to 7 (where the full table below is reproduced exactly)
-and conjectural beyond.
+lam. Its degree, the degree and codimension of its dual, and its polar
+degrees have closed product formulas; the decomposition of the rank-map
+preimage of the higher contact locus CH_j(Delta_lam), when CH_j is a
+hypersurface, into dual hypersurfaces (Delta_mu)^v is generated from the
+children of lam. The component multiplicities carry a conjectural status
+flag: they are proven for all weights up to 7 (where the full table below
+is reproduced exactly) and conjectural beyond.
 """
 from __future__ import annotations
 
@@ -63,49 +63,6 @@ def dual_degree(lam: Partition) -> int:
     for p in lam:
         prod *= p - 1
     return num * prod
-
-
-@dataclass(frozen=True)
-class IncidenceContext:
-    """Dimension bookkeeping for the contact incidence between l-planes and
-    a dimension-n subvariety of P^r at contact order j."""
-
-    r: int
-    n: int
-    j: int
-    l: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.n <= self.r):
-            raise ValueError("need 0 <= n <= r")
-        if not (0 <= self.j <= self.n):
-            raise ValueError("need 0 <= j <= n")
-        if not (0 <= self.l <= self.r - 1):
-            raise ValueError("need 0 <= l <= r - 1")
-
-
-def grassmann_dim(l: int, r: int) -> int:
-    """Dimension of the Grassmannian of l-planes in P^r."""
-    return (l + 1) * (r - l)
-
-
-def incidence_dim(ctx: IncidenceContext) -> int:
-    """Dimension of the contact incidence variety.
-
-    Evaluates -j^2 + (n-r+l)j + rl - l^2 + n and cross-checks it against the
-    equivalent gap form 1 + (j+1)(r-n-1+j-l) below the Grassmannian dimension.
-    """
-    r, n, j, l = ctx.r, ctx.n, ctx.j, ctx.l
-    dim = -j * j + (n - r + l) * j + r * l - l * l + n
-    gap = 1 + (j + 1) * (r - n - 1 + j - l)
-    if grassmann_dim(l, r) - dim != gap:
-        raise AssertionError("incidence dimension and gap form disagree")
-    return dim
-
-
-def incidence_gap(ctx: IncidenceContext) -> int:
-    """Grassmannian dimension minus the incidence dimension."""
-    return grassmann_dim(ctx.l, ctx.r) - incidence_dim(ctx)
 
 
 def is_ch_hypersurface(lam: Partition, j: int) -> bool:
@@ -170,15 +127,13 @@ class DualComponentSum:
         return " U ".join(one(m, mu) for m, mu in self.terms)
 
 
-def pullback_decomposition(
-    lam: Partition, j: int, with_multiplicities: bool = True
-) -> DualComponentSum:
+def pullback_decomposition(lam: Partition, j: int) -> DualComponentSum:
     """Component decomposition of the rank-r locus hitting CH_j(Delta_lam).
 
     Forms of degree d = sum(lam) + len(lam) - j are pulled back; each child
     lam' of lam contributes the component (Delta_(lam'+1))^v with
-    multiplicity m(lam', lam), or 1 when with_multiplicities is false (the
-    set-theoretic statement). Raises when CH_j is not a hypersurface.
+    multiplicity m(lam', lam). The set-theoretic components are the mu of
+    the terms. Raises when CH_j is not a hypersurface.
     """
     lam = Partition(lam)
     if not is_ch_hypersurface(lam, j):
@@ -188,8 +143,7 @@ def pullback_decomposition(
     d = r + n - j
     terms = []
     for child in children(lam, j):
-        mult = multiplicity(child, lam) if with_multiplicities else 1
-        terms.append((mult, child.plus_one()))
+        terms.append((multiplicity(child, lam), child.plus_one()))
     terms.sort(key=lambda t: t[1], reverse=True)
     return DualComponentSum(d=d, r=r, j=j, terms=tuple(terms))
 

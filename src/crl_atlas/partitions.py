@@ -1,18 +1,17 @@
-"""Partition combinatorics: descendants, children, and incidence multiplicities.
+"""Partition combinatorics: enumeration, children, and incidence multiplicities.
 
-A partition is a weakly decreasing tuple of positive integers. Two derived
-families drive everything downstream: the j-th descendants of lam (subtract 1
-from exactly j distinct positions, dropping parts that reach zero) and the
-j-th children (the descendants that keep the full length). The multiplicity
-m(child, lam) counts 0/1 vectors over the child's positions, padded with
-zeros up to len(lam), whose entrywise addition rebuilds lam as a multiset;
-repeated parts are distinguishable positions for this count.
+A partition is a weakly decreasing tuple of positive integers. The j-th
+children of lam (subtract 1 from exactly j distinct positions holding parts
+of at least 2, so the length is kept) drive the pullback decompositions
+downstream. The multiplicity m(child, lam) counts 0/1 vectors over the
+child's positions, padded with zeros up to len(lam), whose entrywise
+addition rebuilds lam as a multiset; repeated parts are distinguishable
+positions for this count.
 """
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from math import comb, factorial
 
 
 class Partition(tuple):
@@ -34,19 +33,6 @@ class Partition(tuple):
 
     def m1(self) -> int:
         return sum(1 for p in self if p == 1)
-
-    def aut(self) -> int:
-        """Product of factorials of the part-value multiplicities."""
-        out = 1
-        for mult in self.value_multiplicities().values():
-            out *= factorial(mult)
-        return out
-
-    def padded_aut(self, n: int) -> int:
-        """aut of the partition padded with zero parts up to length n."""
-        if n < len(self):
-            raise ValueError("cannot pad to a shorter length")
-        return self.aut() * factorial(n - len(self))
 
     def plus_one(self) -> "Partition":
         """Add 1 to every part."""
@@ -110,26 +96,11 @@ def enumerate_partitions(r: int, min_part: int = 1, length: int | None = None) -
     return out
 
 
-def descendants(lam: Partition, j: int) -> list[Partition]:
-    """Subtract 1 from exactly j distinct positions of lam; drop zero parts.
-
-    Returns the deduplicated set in descending lexicographic order.
-    """
-    n = len(lam)
-    if not 0 <= j <= n:
-        raise ValueError("j must lie between 0 and the number of parts")
-    seen = set()
-    for positions in combinations(range(n), j):
-        reduced = [p - 1 if i in positions else p for i, p in enumerate(lam)]
-        seen.add(Partition(p for p in reduced if p > 0) if any(reduced) else None)
-    seen.discard(None)
-    return sorted(seen, reverse=True)
-
-
 def children(lam: Partition, j: int) -> list[Partition]:
-    """The j-th descendants that keep all len(lam) parts positive.
+    """Subtract 1 from j distinct positions of lam, keeping every part positive.
 
-    Only positions holding parts >= 2 may be decremented, so this requires
+    Returns the deduplicated set in descending lexicographic order. Only
+    positions holding parts >= 2 may be decremented, so this requires
     j <= len(lam) - m1(lam).
     """
     n = len(lam)
@@ -166,28 +137,6 @@ def multiplicity(child: Partition, lam: Partition) -> int:
     return count
 
 
-def subtraction_count(child: Partition, lam: Partition) -> int:
-    """How many j-subsets of lam's positions reduce lam to this child.
-
-    Companion count to multiplicity: summed over all j-th descendants it
-    gives C(len(lam), j) exactly, and the two counts differ by the ratio of
-    padded automorphism factors.
-    """
-    n = len(lam)
-    j = lam.weight - child.weight
-    if j < 0 or j > n:
-        return 0
-    count = 0
-    for positions in combinations(range(n), j):
-        reduced = [p - 1 if i in positions else p for i, p in enumerate(lam)]
-        kept = [p for p in reduced if p > 0]
-        if kept and Partition(kept) == child:
-            count += 1
-        elif not kept and len(child) == 0:
-            count += 1
-    return count
-
-
 def count_table(parity: str, max_k: int) -> list[tuple[int, ...]]:
     """Rows k = 3..max_k of partition counts with all parts >= 2.
 
@@ -211,7 +160,3 @@ def count_table(parity: str, max_k: int) -> list[tuple[int, ...]]:
             row = tuple(len(enumerate_partitions(d, 2, k - i)) for i in range(k))
         rows.append(row)
     return rows
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

@@ -84,18 +84,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coefficient(self, i: int) -> Fraction:
-        """Coefficient of x^(d-i) y^i."""
-        return self.coeffs[i]
-
-    def evaluate(self, xv, yv) -> Fraction:
-        xv, yv = Fraction(xv), Fraction(yv)
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                total += c * xv ** (self.degree - i) * yv**i
-        return total
-
     def scale(self, c) -> "BinaryForm":
         c = Fraction(c)
         return BinaryForm(self.degree, tuple(c * v for v in self.coeffs))
@@ -123,10 +111,6 @@ class BinaryForm:
                 if b:
                     out[i + j] += a * b
         return BinaryForm(d, tuple(out))
-
-    def swap_xy(self) -> "BinaryForm":
-        """The form f(y, x); reverses the coefficient tuple."""
-        return BinaryForm(self.degree, tuple(reversed(self.coeffs)))
 
     def primitive(self) -> "BinaryForm":
         """Integer-primitive scalar multiple with first nonzero coefficient > 0."""
@@ -193,23 +177,8 @@ class BinaryForm:
 # interval changes.
 
 
-def uv_normalize(p) -> UvPoly:
-    p = [Fraction(c) for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def uv_degree(p) -> int:
     return len(p) - 1  # -1 for the zero polynomial
-
-
-def uv_eval(p, x) -> Fraction:
-    x = Fraction(x)
-    total = Fraction(0)
-    for c in reversed(p):
-        total = total * x + c
-    return total
 
 
 def _primitive(p: list[int]) -> IntPoly:
@@ -353,58 +322,6 @@ def _sturm_signs_at_inf(chain: list[IntPoly], positive: bool) -> list[int]:
 def _variations(signs: list[int]) -> int:
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def uv_count_real_roots(p, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots of p, in (lo, hi] when bounds are given.
-
-    Finite bounds must not themselves be roots of the squarefree part when
-    an exact open-interval count is wanted; internal callers guarantee this.
-    """
-    q = _int_poly(p)
-    if not q:
-        raise ValueError("zero polynomial")
-    ps = _squarefree_int(q)
-    if len(ps) < 2:
-        return 0
-    chain = sturm_chain(ps)
-    lo_signs = (
-        _sturm_signs_at_inf(chain, positive=False)
-        if lo is None
-        else _sturm_signs_at(chain, Fraction(lo))
-    )
-    hi_signs = (
-        _sturm_signs_at_inf(chain, positive=True)
-        if hi is None
-        else _sturm_signs_at(chain, Fraction(hi))
-    )
-    return _variations(lo_signs) - _variations(hi_signs)
-
-
-def uv_interpolate(points: list[tuple[Fraction, Fraction]]) -> UvPoly:
-    """Exact Lagrange interpolation through (x, y) pairs with distinct x."""
-    result: UvPoly = []
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        # numerator polynomial prod_{k != i} (z - x_k), built incrementally
-        num: UvPoly = [Fraction(1)]
-        denom = Fraction(1)
-        for k, (xk, _) in enumerate(points):
-            if k == i:
-                continue
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for m, c in enumerate(num):
-                nxt[m] -= c * xk
-                nxt[m + 1] += c
-            num = nxt
-            denom *= xi - xk
-        scale = yi / denom
-        if len(num) > len(result):
-            result = result + [Fraction(0)] * (len(num) - len(result))
-        for m, c in enumerate(num):
-            result[m] += scale * c
-    return uv_normalize(result)
 
 
 def uv_root_bound(p) -> Fraction:

@@ -53,10 +53,9 @@ class SearchBudget:
 
     samples: int = 2000
     restarts: int = 50
-    moves_per_restart: int = 40
 
     def __post_init__(self) -> None:
-        if self.samples < 0 or self.restarts < 0 or self.moves_per_restart < 0:
+        if self.samples < 0 or self.restarts < 0:
             raise ValueError("budget values must be nonnegative")
 
 
@@ -321,6 +320,23 @@ def _imag_defect(coeffs) -> float:
     return float(np.sum(np.minimum(roots.imag**2, 1.0)))
 
 
+def root_chart(thetas, exponents):
+    """Float coefficients of prod_i (cos(theta_i) x - sin(theta_i) y)^(e_i).
+
+    The rank search takes every e_i = 1, dual membership e_i = mu_i - 1.
+    Every real-rooted form is a multiple of one such product, and
+    theta = pi/2 is the root at infinity, with no special case.
+    """
+    import numpy as np
+
+    vec = np.array([1.0])
+    for theta, e in zip(thetas, exponents):
+        factor = np.array([math.cos(theta), -math.sin(theta)])
+        for _ in range(e):
+            vec = np.convolve(vec, factor)
+    return vec
+
+
 def _random_real_rooted_search(
     space: ApolarSpace,
     budget: SearchBudget,
@@ -404,20 +420,15 @@ def _random_real_rooted_search(
             return got, used
 
     # phase 2: least squares over root space.  theta parametrizes a
-    # product of factors (cos t x - sin t y); the residual is the part
-    # of that product sticking out of the kernel span.
+    # product of r simple factors (cos t x - sin t y); the residual is the
+    # part of that product sticking out of the kernel span.
     r = basis[0].degree
-
-    def root_chart(thetas) -> np.ndarray:
-        vec = np.array([1.0])
-        for t in thetas:
-            vec = np.convolve(vec, [math.cos(t), -math.sin(t)])
-        return vec
+    simple = (1,) * r
 
     def defect(thetas) -> np.ndarray:
         nonlocal used
         used += 1
-        vec = root_chart(thetas)
+        vec = root_chart(thetas, simple)
         vec = vec / np.linalg.norm(vec)
         return vec - qmat @ (qmat.T @ vec)
 
@@ -436,11 +447,11 @@ def _random_real_rooted_search(
     for t0 in seeds_t[: budget.restarts]:
         fit = least_squares(
             defect, t0, method="trf",
-            max_nfev=20 * budget.moves_per_restart,
+            max_nfev=800,
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
         if np.linalg.norm(fit.fun) < 1e-10:
-            got = snap_and_project(root_chart(fit.x))
+            got = snap_and_project(root_chart(fit.x, simple))
             if got is not None:
                 return got, used
     return None, used

@@ -18,7 +18,6 @@ from .apolarity import apply_operator
 from .config import RunConfig
 from .crl import (
     DualComponentSum,
-    crl_degree,
     dual_degree,
     polar_degree,
     pullback_decomposition,

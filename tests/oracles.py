@@ -14,12 +14,14 @@ Euclid on descending coefficient lists.  Kernel computations use
 textbook Gaussian elimination over `Fraction` instead of the library's
 fraction-free integer elimination, and the operator-action matrix is
 assembled from raw monomial differentiation instead of the scaled Hankel
-pairing.
+pairing.  The partition counts subtract from lam, where the library's
+multiplicity adds to the child, and take partitions as plain tuples.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial, gcd, lcm, perm
 
 from crl_atlas.poly_core import BinaryForm
@@ -59,6 +61,25 @@ def _eval(p: list[Fraction], x: Fraction) -> Fraction:
     for c in p:
         acc = acc * x + c
     return acc
+
+
+def interpolate(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
+    """The polynomial of degree below len(points) through (x, y), distinct x.
+
+    Lagrange form, expanded exactly; [] for the zero polynomial.
+    """
+    out = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        basis, denom = [Fraction(1)], Fraction(1)  # prod over k != i of (z - x_k)
+        for k, (xk, _) in enumerate(points):
+            if k != i:
+                basis = [a - xk * b for a, b in zip(basis + [0], [0] + basis)]
+                denom *= xi - xk
+        scale = yi / denom
+        out = [o + scale * c for o, c in zip(out, basis)]
+    return _strip(out)
 
 
 def _integers(values) -> tuple[list[int], int]:
@@ -350,6 +371,11 @@ def form_add(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     return BinaryForm(f.degree, tuple(a + b for a, b in zip(f.coeffs, g.coeffs)))
 
 
+def swap_xy(f: BinaryForm) -> BinaryForm:
+    """The form f(y, x): the coefficient tuple reversed."""
+    return BinaryForm(f.degree, tuple(reversed(f.coeffs)))
+
+
 def random_form(rng: random.Random, d: int, spread: int = 20) -> BinaryForm:
     while True:
         coeffs = tuple(
@@ -359,3 +385,58 @@ def random_form(rng: random.Random, d: int, spread: int = 20) -> BinaryForm:
         f = BinaryForm(d, coeffs)
         if not f.is_zero:
             return f
+
+
+# ---------------------------------------------------------------------------
+# partition counts, partitions as weakly decreasing tuples
+
+
+def aut(parts) -> int:
+    """Product of factorials of the part-value multiplicities."""
+    out = 1
+    for value in set(parts):
+        out *= factorial(parts.count(value))
+    return out
+
+
+def padded_aut(parts, n: int) -> int:
+    """aut of the partition padded with zero parts up to length n."""
+    if n < len(parts):
+        raise ValueError("cannot pad to a shorter length")
+    return aut(parts) * factorial(n - len(parts))
+
+
+def _subtract(lam, positions) -> tuple[int, ...]:
+    """lam with 1 taken from each given position, zero parts dropped."""
+    reduced = (p - 1 if i in positions else p for i, p in enumerate(lam))
+    return tuple(sorted((p for p in reduced if p > 0), reverse=True))
+
+
+def descendants(lam, j: int) -> list[tuple[int, ...]]:
+    """Subtract 1 from exactly j distinct positions of lam; drop zero parts.
+
+    Returns the distinct nonempty results in descending lexicographic order.
+    """
+    if not 0 <= j <= len(lam):
+        raise ValueError("j must lie between 0 and the number of parts")
+    seen = {_subtract(lam, positions) for positions in combinations(range(len(lam)), j)}
+    seen.discard(())
+    return sorted(seen, reverse=True)
+
+
+def subtraction_count(child, lam) -> int:
+    """How many j-subsets of lam's positions reduce lam to this child.
+
+    Summed over all j-th descendants it gives C(len(lam), j), less one
+    when every part dies, and it differs from the library's multiplicity
+    by the ratio of padded automorphism factors.
+    """
+    n = len(lam)
+    j = sum(lam) - sum(child)
+    if not 0 <= j <= n:
+        return 0
+    target = tuple(child)
+    return sum(
+        _subtract(lam, positions) == target
+        for positions in combinations(range(n), j)
+    )

@@ -1,4 +1,4 @@
-"""Catalecticants, apolar kernels, operator action, ideal generators."""
+"""Catalecticants, apolar kernels, operator action, generic degrees."""
 import random
 from fractions import Fraction as F
 from math import comb
@@ -6,16 +6,14 @@ from math import comb
 import pytest
 
 from crl_atlas.apolarity import (
-    apolar_generators,
     apolar_kernel,
     apply_operator,
     catalecticant,
     first_kernel,
-    is_dth_power,
     is_generic_degrees,
     scaled_coefficients,
 )
-from crl_atlas.poly_core import BinaryForm, gcd_poly, is_squarefree
+from crl_atlas.poly_core import BinaryForm
 
 from oracles import form_add, form_mul, gauss_rank, oracle_apply, random_form
 
@@ -186,56 +184,6 @@ class TestApplyOperator:
             assert lhs == rhs
 
 
-class TestApolarGenerators:
-    def test_fermat_cubic(self):
-        g, g2 = apolar_generators(X3_PLUS_Y3)
-        assert g.degree == 2 and g.coeffs == (F(0), F(1), F(0))
-        assert g2.degree == 3
-        assert apply_operator(g2, X3_PLUS_Y3).is_zero
-        assert gcd_poly(g, g2).degree == 0
-
-    def test_degenerate_monomial(self):
-        g, g2 = apolar_generators(X2Y)
-        assert g.degree == 2 and g.coeffs == (F(0), F(0), F(1))
-        assert g2.degree == 3
-        assert apply_operator(g2, X2Y).is_zero
-
-    def test_generic_degree7_pair(self):
-        rng = random.Random(28)
-        hits = 0
-        for _ in range(10):
-            f = random_form(rng, 7)
-            if not is_generic_degrees(f):
-                continue
-            g, g2 = apolar_generators(f)
-            assert (g.degree, g2.degree) == (4, 5)
-            hits += 1
-        assert hits >= 8
-
-    def test_pure_power_rejected(self):
-        with pytest.raises(ValueError):
-            apolar_generators(power_of_x(4))
-
-    def test_degree_sum_and_coprimality(self):
-        rng = random.Random(29)
-        for _ in range(60):
-            d = rng.randint(2, 8)
-            f = random_form(rng, d)
-            if is_dth_power(f):
-                continue
-            g, g2 = apolar_generators(f)
-            assert g.degree + g2.degree == d + 2
-            assert g.degree == first_kernel(f).r
-            assert gcd_poly(g, g2).degree == 0
-            assert apply_operator(g, f).is_zero
-            assert apply_operator(g2, f).is_zero
-
-    def test_deterministic(self):
-        rng = random.Random(30)
-        f = random_form(rng, 6)
-        assert apolar_generators(f) == apolar_generators(f)
-
-
 class TestApolarityLemmaDirection:
     def test_power_sum_annihilated_by_root_product(self):
         # f = sum alpha_i (x - t_i y)^d is killed by prod (t_i Dx + Dy)
@@ -273,7 +221,9 @@ class TestIsGenericDegrees:
         assert is_generic_degrees(X3_PLUS_Y3)
 
     def test_is_dth_power_detection(self):
-        assert is_dth_power(power_of_x(5))
+        # a d-th power, and only a d-th power, has a degree-1 annihilator
+        assert first_kernel(power_of_x(5)).r == 1
         shifted = BinaryForm.from_roots([F(2)] * 4)  # (x - 2y)^4
-        assert is_dth_power(shifted)
-        assert not is_dth_power(X3_PLUS_Y3)
+        assert first_kernel(shifted).r == 1
+        assert not is_generic_degrees(shifted)
+        assert first_kernel(X3_PLUS_Y3).r == 2

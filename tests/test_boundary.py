@@ -15,17 +15,19 @@ from crl_atlas.boundary import (
     dual_membership,
 )
 from crl_atlas.config import RunConfig
-from crl_atlas.poly_core import (
-    BinaryForm,
-    discriminant,
-    isolate_real_roots,
-    uv_count_real_roots,
-    uv_eval,
-    uv_interpolate,
-)
+from crl_atlas.poly_core import BinaryForm, discriminant
 from crl_atlas.rank import real_rank
 
-from oracles import annihilated_forms, form_mul, oracle_is_real_rooted, random_form
+from oracles import (
+    _eval as oracle_eval,
+    annihilated_forms,
+    count_roots_in,
+    form_mul,
+    interpolate,
+    oracle_is_real_rooted,
+    squarefree_part,
+    swap_xy,
+)
 
 
 def form(*cs) -> BinaryForm:
@@ -132,7 +134,7 @@ class TestDualMembership:
             ((-2, 0, -6, 3, 6, -5), (3, 2)),
         ]:
             f = form(*coeffs)
-            assert dual_membership(f.swap_xy(), mu).verdict == dual_membership(f, mu).verdict
+            assert dual_membership(swap_xy(f), mu).verdict == dual_membership(f, mu).verdict
 
     def test_rejects_zero_form_and_malformed_mu(self):
         with pytest.raises(ValueError, match="zero form"):
@@ -248,18 +250,19 @@ class TestCrossingScan:
     def test_crossing_lies_on_exact_discriminant_locus(self):
         # Rank changes of a quartic segment happen where the discriminant
         # of the path form vanishes; interpolate it exactly in eps and
-        # check each bracket against a Sturm count.
+        # check each bracket against an exact root count.
         f_from, f_to = quartic_segment()
         nodes = [F(k, 7) for k in range(9)]
-        disc = uv_interpolate(
+        disc = interpolate(
             [(t, discriminant(segment_form(f_from, f_to, t))) for t in nodes]
         )
         assert len(disc) - 1 == 6
         probe = F(5, 11)
-        assert uv_eval(disc, probe) == discriminant(segment_form(f_from, f_to, probe))
+        assert oracle_eval(disc, probe) == discriminant(segment_form(f_from, f_to, probe))
         pad = F(1, 10**8)
         for event in crossing_scan(f_from, f_to, 60):
-            hits = uv_count_real_roots(disc, event.eps_lo - pad, event.eps_hi + pad)
+            lo, hi = event.eps_lo - pad, event.eps_hi + pad
+            hits = count_roots_in(squarefree_part(disc), lo, hi)
             assert hits >= 1
 
     def test_rank_constant_between_events(self):

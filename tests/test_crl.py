@@ -5,13 +5,9 @@ from crl_atlas import reference_tables
 from crl_atlas.crl import (
     CONJECTURAL_STATUS,
     DualComponentSum,
-    IncidenceContext,
     crl_degree,
     dual_codim,
     dual_degree,
-    grassmann_dim,
-    incidence_dim,
-    incidence_gap,
     is_ch_hypersurface,
     polar_degree,
     pullback_decomposition,
@@ -67,41 +63,6 @@ class TestDualCodim:
                 assert (dual_codim(lam) == 1) == (lam.m1() == 0)
 
 
-class TestIncidence:
-    def test_lines_meeting_a_curve_in_p3(self):
-        ctx = IncidenceContext(r=3, n=1, j=0, l=1)
-        assert incidence_dim(ctx) == 3
-        assert grassmann_dim(1, 3) == 4
-        assert incidence_gap(ctx) == 1
-
-    def test_dual_variety_case_has_gap_one(self):
-        for r in range(2, 8):
-            for n in range(1, r):
-                ctx = IncidenceContext(r=r, n=n, j=n, l=r - 1)
-                assert incidence_gap(ctx) == 1
-
-    def test_chow_case_codimension(self):
-        ctx = IncidenceContext(r=4, n=2, j=0, l=1)
-        assert incidence_gap(ctx) == 4 - 2 - 1
-
-    def test_invalid_contexts_rejected(self):
-        with pytest.raises(ValueError):
-            IncidenceContext(r=3, n=4, j=0, l=1)
-        with pytest.raises(ValueError):
-            IncidenceContext(r=3, n=2, j=3, l=1)
-        with pytest.raises(ValueError):
-            IncidenceContext(r=3, n=1, j=0, l=3)
-
-    def test_quadratic_and_gap_forms_agree_everywhere(self):
-        for r in range(1, 7):
-            for n in range(0, r + 1):
-                for j in range(0, n + 1):
-                    for l in range(0, r):
-                        ctx = IncidenceContext(r=r, n=n, j=j, l=l)
-                        dim = incidence_dim(ctx)  # raises if the forms split
-                        assert grassmann_dim(l, r) - dim == incidence_gap(ctx)
-
-
 class TestIsChHypersurface:
     def test_no_ones(self):
         assert is_ch_hypersurface(P(3, 2), 2)
@@ -133,15 +94,6 @@ class TestPullbackDecomposition:
             (3, P(5, 3, 3, 3)),
             (2, P(4, 4, 3, 3)),
         )
-
-    def test_without_multiplicities(self):
-        out = pullback_decomposition(P(4, 3, 2, 2), 1, with_multiplicities=False)
-        assert [m for m, _ in out.terms] == [1, 1, 1]
-        assert [mu for _, mu in out.terms] == [
-            P(5, 4, 3, 2),
-            P(5, 3, 3, 3),
-            P(4, 4, 3, 3),
-        ]
 
     def test_non_hypersurface_rejected(self):
         with pytest.raises(ValueError, match="not a hypersurface"):

@@ -7,6 +7,8 @@ import pytest
 
 from crl_atlas.poly_core import (
     BinaryForm,
+    _sturm_signs_at,
+    _variations,
     count_real_roots,
     derivative,
     discriminant,
@@ -18,10 +20,7 @@ from crl_atlas.poly_core import (
     parse_rational,
     resultant,
     sturm_chain,
-    uv_count_real_roots,
-    uv_eval,
     uv_gcd,
-    uv_interpolate,
     uv_root_bound,
     uv_squarefree_part,
 )
@@ -32,11 +31,13 @@ from oracles import (
     count_roots_in,
     form_add,
     form_mul,
+    interpolate,
     oracle_count_real_roots,
     oracle_is_real_rooted,
     oracle_is_squarefree,
     random_form,
     squarefree_part,
+    swap_xy,
 )
 
 
@@ -275,10 +276,9 @@ class TestUvHelpers:
             deg = rng.randint(0, 6)
             coeffs = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg + 1)]
             xs = [F(k) for k in range(deg + 1)]
-            ys = [uv_eval(coeffs, x) for x in xs]
-            got = uv_interpolate(list(zip(xs, ys)))
-            got = got + [F(0)] * (len(coeffs) - len(got))
-            assert got[: len(coeffs)] == coeffs
+            desc = coeffs[::-1]
+            got = interpolate([(x, oracle_eval(desc, x)) for x in xs])
+            assert [F(0)] * (len(desc) - len(got)) + got == desc
 
     def test_isolating_intervals_contain_exactly_one_root(self):
         p = [F(-2), F(0), F(1)]  # t^2 - 2, ascending
@@ -286,7 +286,7 @@ class TestUvHelpers:
         assert len(boxes) == 2
         for lo, hi in boxes:
             assert lo < hi
-            assert uv_count_real_roots(p, lo, hi) == 1
+            assert count_roots_in(p[::-1], lo, hi) == 1
 
     def test_squarefree_part_strips_multiplicity(self):
         p = [F(0), F(0), F(1)]  # t^2
@@ -297,7 +297,7 @@ class TestUvHelpers:
         p = [F(-1), F(0), F(0), F(1)]  # t^3 - 1
         chain = sturm_chain(p)
         assert chain[0] == p
-        assert uv_count_real_roots(p, F(-10), F(10)) == 1
+        assert _chain_count(p, F(-10), F(10)) == 1
 
 
 def _mul_asc(a, b):
@@ -334,6 +334,20 @@ def random_uv(rng: random.Random, degree: int) -> list:
 def _monic_desc_to_asc(desc):
     desc = [c / desc[0] for c in desc] if desc else []
     return list(reversed(desc))
+
+
+def _as_form(p) -> BinaryForm:
+    """The binary form whose dehomogenization f(z, 1) is p (ascending)."""
+    return BinaryForm.from_coeffs(reversed(p))
+
+
+def _chain_count(p, lo, hi) -> int:
+    """Distinct roots of p in (lo, hi], from the Sturm chain of its squarefree part.
+
+    These are the sign variations that isolate_real_roots compares.
+    """
+    chain = sturm_chain(uv_squarefree_part(p))
+    return _variations(_sturm_signs_at(chain, lo)) - _variations(_sturm_signs_at(chain, hi))
 
 
 def _oracle_roots_in(p, lo, hi) -> int:
@@ -378,9 +392,9 @@ class TestIntegerInternalsAgainstOracle:
     def test_count_real_roots_without_bounds(self):
         for _, p, neg in self.polys(22):
             lo = -sum(abs(c) for c in p) / abs(p[-1]) - 1
-            got = uv_count_real_roots(p)
+            got = count_real_roots(_as_form(p))[0]
             assert got == _oracle_roots_in(p, lo, -lo)
-            assert uv_count_real_roots(neg) == got
+            assert count_real_roots(_as_form(neg))[0] == got
 
     def test_count_real_roots_with_bounds(self):
         for rng, p, neg in self.polys(23):
@@ -389,9 +403,9 @@ class TestIntegerInternalsAgainstOracle:
             hi = lo + F(rng.randint(1, 30), 7)
             if oracle_eval(sf, lo) == 0 or oracle_eval(sf, hi) == 0:
                 continue
-            got = uv_count_real_roots(p, lo, hi)
+            got = _chain_count(p, lo, hi)
             assert got == _oracle_roots_in(p, lo, hi)
-            assert uv_count_real_roots(neg, lo, hi) == got
+            assert _chain_count(neg, lo, hi) == got
 
     def test_isolate_real_roots(self):
         for _, p, neg in self.polys(24):
@@ -402,7 +416,7 @@ class TestIntegerInternalsAgainstOracle:
                 assert oracle_eval(sf, lo) != 0 and oracle_eval(sf, hi) != 0
                 assert count_roots_in(sf, lo, hi) == 1
             assert all(a[1] <= b[0] for a, b in zip(boxes, boxes[1:]))
-            assert len(boxes) == uv_count_real_roots(p)
+            assert len(boxes) == oracle_count_real_roots(_as_form(p))
             assert isolate_real_roots(neg) == boxes
 
     @pytest.mark.parametrize(
@@ -413,8 +427,10 @@ class TestIntegerInternalsAgainstOracle:
         # leading coefficient whose remainder drops two degrees at once
         p = [F(c) for c in p]
         bound = uv_root_bound(p)
-        assert uv_count_real_roots(p) == _oracle_roots_in(p, -bound, bound)
-        assert len(isolate_real_roots(p)) == uv_count_real_roots(p)
+        expect = _oracle_roots_in(p, -bound, bound)
+        assert _chain_count(p, -bound, bound) == expect
+        assert count_real_roots(_as_form(p))[0] == expect
+        assert len(isolate_real_roots(p)) == expect
 
     def test_sturm_chain_is_primitive_integer(self):
         p = [F(-1, 2), F(0), F(3, 4), F(1, 3)]  # squarefree, three real roots
@@ -423,7 +439,7 @@ class TestIntegerInternalsAgainstOracle:
         for q in chain:
             assert all(isinstance(c, int) for c in q)
             assert math.gcd(*q) == 1
-        assert uv_count_real_roots(p) == 3
+        assert count_real_roots(_as_form(p)) == (3, True)
 
 
 class TestRationalText:
@@ -447,13 +463,14 @@ class TestBinaryFormAlgebra:
         assert f == form(0, 1, -3, 2)
 
     def test_evaluate_matches_coefficients(self):
-        assert X3_3XY2.evaluate(F(2), F(1)) == 2
+        # coeffs[0] multiplies x^d: x^3 - 3xy^2 at (2, 1) is 8 - 6
+        assert oracle_eval(list(X3_3XY2.coeffs), F(2)) == 2
 
     def test_swap_xy_is_involution(self):
         rng = random.Random(11)
         for _ in range(20):
             f = random_form(rng, rng.randint(1, 6))
-            assert f.swap_xy().swap_xy() == f
+            assert swap_xy(swap_xy(f)) == f
 
     def test_scale_consistency(self):
         rng = random.Random(12)

@@ -13,7 +13,6 @@ from crl_atlas.poly_core import (
     discriminant,
     is_real_rooted,
     is_squarefree,
-    uv_interpolate,
 )
 from crl_atlas.rank import (
     RankCertificate,
@@ -26,6 +25,7 @@ from crl_atlas.rank import (
 
 from oracles import (
     gauss_kernel,
+    interpolate,
     oracle_apply,
     oracle_is_real_rooted,
     random_form,
@@ -249,9 +249,9 @@ class TestPencilDiscriminant:
     def interpolated(q0: BinaryForm, q1: BinaryForm) -> list:
         r = q0.degree
         nodes = [F(k) for k in range(max(2 * r - 1, 1))]
-        return uv_interpolate(
+        return interpolate(
             [(t, discriminant(q0 + q1.scale(t))) for t in nodes]
-        )
+        )[::-1]
 
     @pytest.mark.parametrize("r", range(1, 7))
     def test_integer_pencils(self, r):
@@ -346,6 +346,6 @@ class TestCertificates:
             SearchBudget(restarts=-2)
 
     def test_budget_is_threaded_through(self):
-        tiny = SearchBudget(samples=10, restarts=2, moves_per_restart=5)
+        tiny = SearchBudget(samples=10, restarts=2)
         cert = real_rank(THREE_POWERS_QUINTIC, budget=tiny)
         assert cert.value == 3  # exact paths ignore the randomized budget
