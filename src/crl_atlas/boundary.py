@@ -25,13 +25,25 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .apolarity import catalecticant, is_generic_degrees, scaled_coefficients
 from .config import RunConfig
 from .partitions import Partition, enumerate_partitions, format_partition
-from .poly_core import BinaryForm, is_real_rooted
-from .rank import SearchBudget, _derive_seed, parallel_map, real_rank, root_chart
+from .poly_core import (
+    BinaryForm,
+    _sturm_signs_at,
+    _variations,
+    is_real_rooted,
+    sturm_chain,
+)
+from .rank import (
+    SearchBudget,
+    _derive_seed,
+    _disc_poly_in_t,
+    parallel_map,
+    real_rank,
+    root_chart,
+    unit_root_chart_jacobian,
+)
 
 __all__ = [
     "BoundaryCandidateSet",
@@ -161,9 +173,20 @@ class MembershipReport:
         }
 
 
-def _residual_components(thetas, matrix, exponents) -> np.ndarray:
+# numpy is imported where it is used, so that importing the package does
+# not load it (about 60 ms): only membership tests need it
+
+
+def _residual_components(thetas, matrix, exponents):
+    import numpy as np
+
     b = root_chart(thetas, exponents)
     return matrix @ b / np.linalg.norm(b)
+
+
+def _residual_jacobian(thetas, matrix, exponents):
+    """Jacobian of _residual_components in the angles, in closed form."""
+    return matrix @ unit_root_chart_jacobian(thetas, exponents)
 
 
 def _start_angles(n: int, seed: int) -> list[tuple[float, ...]]:
@@ -200,14 +223,16 @@ def dual_membership(
 ) -> MembershipReport:
     """Test whether f lies on the dual variety with root pattern mu.
 
-    Local descents over the root angles, from the start grid in order of
-    grid residual, until one ends below tol_on; verdict "on" below
-    tol_on, "off" when every start ends above tol_off, "inconclusive"
-    otherwise.  Only real roots are searched, so a form whose nearest
-    witness has complex roots comes back off or inconclusive.
+    Local descents over the root angles, with the residual's Jacobian in
+    closed form, from the start grid in order of grid residual, until
+    one ends below tol_on; verdict "on" below tol_on, "off" when every
+    start ends above tol_off, "inconclusive" otherwise.  Only real roots
+    are searched, so a form whose nearest witness has complex roots
+    comes back off or inconclusive.
     """
     # scipy.optimize costs about 0.5 s and 49 MB to import; only the
     # descent needs it, so callers that never test membership skip it
+    import numpy as np
     from scipy.optimize import least_squares
 
     if config is None:
@@ -238,6 +263,7 @@ def dual_membership(
         fit = least_squares(
             _residual_components,
             np.array(combo),
+            jac=_residual_jacobian,
             args=(matrix, exponents),
             method="lm",
             max_nfev=400,
@@ -308,7 +334,64 @@ def _path_form(f_from: BinaryForm, f_to: BinaryForm, eps: Fraction) -> BinaryFor
 
 def _grid_rank(args) -> int:
     f_from, f_to, eps, budget, seed = args
-    return real_rank(_path_form(f_from, f_to, eps), budget=budget, seed=seed).value
+    f = _path_form(f_from, f_to, eps)
+    if is_real_rooted(f):
+        # real_rank's own first branch, without the witness nobody reads
+        return f.degree
+    return real_rank(f, budget=budget, seed=seed).value
+
+
+class _SegmentHyperbolicity:
+    """is_real_rooted(f_eps) on one segment, decided from disc(f_eps).
+
+    p(eps) = disc((1 - eps) f_from + eps f_to) is a single integer
+    polynomial of degree at most 2d - 2.  f_eps has a repeated root
+    exactly where p vanishes, and its number of real roots changes only
+    there, so hyperbolicity is constant on every interval free of roots
+    of p.  A point whose interval to a known end holds no root of p (the
+    Sturm variations agree) takes that end's hyperbolicity; only a point
+    with roots of p on both sides runs is_real_rooted.
+    """
+
+    def __init__(self, f_from: BinaryForm, f_to: BinaryForm) -> None:
+        self.f_from, self.f_to = f_from, f_to
+        p = _disc_poly_in_t(f_from, f_to - f_from)
+        # away from the roots of p, the variations of its own chain count
+        # distinct roots as those of its squarefree part's chain do
+        self.chain = sturm_chain(p) if p else None
+        # (numerator, denominator) of eps -> [sign of p, variations, hyperbolic]
+        self.seen: dict[tuple[int, int], list] = {}
+
+    def _at(self, eps: Fraction) -> list:
+        key = (eps.numerator, eps.denominator)
+        state = self.seen.get(key)
+        if state is None:
+            if self.chain is None:  # p is identically zero
+                state = [0, 0, False]
+            else:
+                signs = _sturm_signs_at(self.chain, eps)
+                # on the discriminant, f_eps has a repeated root
+                state = [signs[0], _variations(signs), None if signs[0] else False]
+            self.seen[key] = state
+        return state
+
+    def _decide(self, eps: Fraction, state: list) -> bool:
+        if state[2] is None:
+            state[2] = is_real_rooted(_path_form(self.f_from, self.f_to, eps))
+        return state[2]
+
+    def __call__(self, lo: Fraction, mid: Fraction, hi: Fraction) -> bool:
+        """is_real_rooted(f_mid) for lo < mid < hi."""
+        state = self._at(mid)
+        if state[2] is None:
+            for end in (lo, hi):
+                known = self._at(end)
+                if known[0] and known[1] == state[1]:
+                    state[2] = self._decide(end, known)
+                    break
+            else:
+                self._decide(mid, state)
+        return state[2]
 
 
 def crossing_scan(
@@ -323,13 +406,19 @@ def crossing_scan(
     Ranks are evaluated on an exact rational grid, each change is
     bisected to an interval of width 1e-10, and the form at the
     interval midpoint is tested against the expected candidate duals
-    for the smaller of the two ranks.  A change between ranks d - 1 and
-    d is bisected on exact hyperbolicity, since a squarefree form has
-    real rank d exactly when it is hyperbolic; a midpoint that lies on
-    the discriminant counts as not hyperbolic.  Every other change is
-    bisected on ``real_rank``.  Every rank depends only on its form, the
-    budget and the seed, so the grid ranks are the same for any number
-    of worker processes.
+    for the smaller of the two ranks.  A hyperbolic grid point has rank
+    d without further work.  A change between ranks d - 1 and d is
+    bisected on exact hyperbolicity, since a squarefree form has real
+    rank d exactly when it is hyperbolic; a midpoint that lies on the
+    discriminant counts as not hyperbolic.  That predicate is memoized
+    on the one integer polynomial disc(f_eps), built at the first such
+    change: a midpoint with no root of it between itself and one end of
+    the bracket shares that end's hyperbolicity, and only the others run
+    ``is_real_rooted``, so the brackets are those of an ``is_real_rooted``
+    call at every midpoint.  Every other change is bisected on
+    ``real_rank``.  Every rank depends only on its form, the budget and
+    the seed, so the grid ranks are the same for any number of worker
+    processes.
     """
     if config is None:
         config = RunConfig()
@@ -352,18 +441,21 @@ def crossing_scan(
     grid = parallel_map(_grid_rank, jobs, threads)
 
     events: list[CrossingEvent] = []
+    hyperbolic = None  # built on the first d - 1 <-> d change, then shared
     for i in range(steps):
         r_left, r_right = grid[i], grid[i + 1]
         if r_left == r_right:
             continue
         lo, hi = Fraction(i, steps), Fraction(i + 1, steps)
         on_hyperbolicity_wall = {r_left, r_right} == {d - 1, d}
+        if on_hyperbolicity_wall and hyperbolic is None:
+            hyperbolic = _SegmentHyperbolicity(f_from, f_to)
         while hi - lo > _BISECT_WIDTH:
             mid = (lo + hi) / 2
-            f = _path_form(f_from, f_to, mid)
             if on_hyperbolicity_wall:
-                left = is_real_rooted(f) == (r_left == d)
+                left = hyperbolic(lo, mid, hi) == (r_left == d)
             else:
+                f = _path_form(f_from, f_to, mid)
                 left = real_rank(f, budget=budget, seed=config.seed).value == r_left
             if left:
                 lo = mid

@@ -337,6 +337,32 @@ def root_chart(thetas, exponents):
     return vec
 
 
+def unit_root_chart_jacobian(thetas, exponents):
+    """Jacobian in thetas of b / |b|, where b = root_chart(thetas, exponents).
+
+    Every e_i must be at least 1.  The factor l_i = (cos(theta_i),
+    -sin(theta_i)) has derivative (-sin(theta_i), -cos(theta_i)), so
+    column i of the Jacobian of b is e_i l_i^(e_i - 1) l_i' times the
+    other factors; normalizing removes each column's component along b
+    and divides by |b|.
+    """
+    import numpy as np
+
+    factors = [np.array([math.cos(t), -math.sin(t)]) for t in thetas]
+    cols = []
+    for i, (theta, e) in enumerate(zip(thetas, exponents)):
+        col = np.array([-e * math.sin(theta), -e * math.cos(theta)])
+        for j, (factor, m) in enumerate(zip(factors, exponents)):
+            for _ in range(m - (i == j)):
+                col = np.convolve(col, factor)
+        cols.append(col)
+    jac = np.column_stack(cols)
+    b = root_chart(thetas, exponents)
+    norm = np.linalg.norm(b)
+    unit = b / norm
+    return (jac - np.outer(unit, unit @ jac)) / norm
+
+
 def _random_real_rooted_search(
     space: ApolarSpace,
     budget: SearchBudget,

@@ -1,22 +1,34 @@
 """Boundary candidates, dual membership, and segment crossing scans."""
+import math
 import random
 from fractions import Fraction as F
 from math import comb
 
+import numpy as np
 import pytest
 
-from crl_atlas.apolarity import apply_operator, is_generic_degrees
+from crl_atlas import boundary
+from crl_atlas.apolarity import (
+    apply_operator,
+    catalecticant,
+    is_generic_degrees,
+    scaled_coefficients,
+)
 from crl_atlas.boundary import (
     EXPECTED_SHARP,
     THEOREM_EXACT,
     THEOREM_SUPERSET,
+    _grid_rank,
+    _residual_components,
+    _residual_jacobian,
     candidate_components,
     crossing_scan,
     dual_membership,
 )
 from crl_atlas.config import RunConfig
-from crl_atlas.poly_core import BinaryForm, discriminant
-from crl_atlas.rank import real_rank
+from crl_atlas.partitions import enumerate_partitions
+from crl_atlas.poly_core import BinaryForm, discriminant, is_real_rooted
+from crl_atlas.rank import SearchBudget, real_rank
 
 from oracles import (
     _eval as oracle_eval,
@@ -174,6 +186,36 @@ class TestDualMembership:
         first = dual_membership(f, (3, 2))
         second = dual_membership(f, (3, 2))
         assert first == second
+
+
+class TestResidualJacobian:
+    """The descent's closed-form Jacobian against central differences."""
+
+    @pytest.mark.parametrize("d", [4, 5, 6, 7])
+    def test_matches_central_differences(self, d):
+        rng = random.Random(d)
+        h = 1e-6
+        for mu in enumerate_partitions(d, min_part=2):
+            n = len(mu)
+            exponents = tuple(m - 1 for m in mu)
+            f = BinaryForm(d, tuple(F(rng.randint(-9, 9)) for _ in range(d + 1)))
+            norm = np.linalg.norm(np.array(scaled_coefficients(f), dtype=float))
+            matrix = np.array(catalecticant(f, d - n).entries, dtype=float) / norm
+            starts = [[rng.uniform(-math.pi / 2, math.pi / 2) for _ in range(n)]
+                      for _ in range(3)]
+            starts.append([math.pi / 2] + starts[0][1:])  # a root at infinity
+            starts.append([math.pi / 2] * n)
+            for thetas in starts:
+                jac = _residual_jacobian(thetas, matrix, exponents)
+                fd = np.column_stack([
+                    (_residual_components(np.add(thetas, step), matrix, exponents)
+                     - _residual_components(np.subtract(thetas, step), matrix, exponents))
+                    / (2 * h)
+                    for step in h * np.eye(n)
+                ])
+                assert jac.shape == fd.shape == (n + 1, n)
+                err = np.linalg.norm(jac - fd) / np.linalg.norm(fd)
+                assert err <= 1e-6, (mu, thetas, err)
 
 
 def forms_annihilated_by_pattern(rng, mu):
@@ -337,15 +379,38 @@ def seeded_quartic_segment(rng: random.Random):
             return f_from, f_to
 
 
+def reference_wall_bracket(f_from, f_to, steps, event):
+    """The event's grid cell bisected with is_real_rooted at every midpoint."""
+    d = f_from.degree
+    i = int(event.eps_lo * steps)
+    lo, hi = F(i, steps), F(i + 1, steps)
+    while hi - lo > F(1, 10**10):
+        mid = (lo + hi) / 2
+        if is_real_rooted(segment_form(f_from, f_to, mid)) == (event.r_left == d):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def assert_walls_match_reference(f_from, f_to, steps):
+    """Every rank-d wall of the scan equals the reference bisection."""
+    d = f_from.degree
+    walls = [
+        e for e in crossing_scan(f_from, f_to, steps)
+        if {e.r_left, e.r_right} == {d - 1, d}
+    ]
+    for e in walls:
+        assert (e.eps_lo, e.eps_hi) == reference_wall_bracket(f_from, f_to, steps, e)
+    return walls
+
+
 class TestHyperbolicityWalls:
     """Walls into rank d are bisected on exact hyperbolicity."""
 
     def assert_rank_d_walls_bracket_hyperbolicity(self, f_from, f_to, steps, root):
         d = f_from.degree
-        walls = [
-            e for e in crossing_scan(f_from, f_to, steps)
-            if {e.r_left, e.r_right} == {d - 1, d}
-        ]
+        walls = assert_walls_match_reference(f_from, f_to, steps)
         assert len(walls) == 1
         e = walls[0]
         ends = (
@@ -355,13 +420,18 @@ class TestHyperbolicityWalls:
         assert ends == (e.r_left == d, e.r_right == d)
         # the exact root of disc(f_eps) in the cell, to 12 decimals
         assert e.eps_lo < F(root) < e.eps_hi
+        return e
 
     def test_criterion_7_quintic_4_5_wall(self):
-        self.assert_rank_d_walls_bracket_hyperbolicity(
+        e = self.assert_rank_d_walls_bracket_hyperbolicity(
             form(2, 10, 40, 80, 80, 33),  # x^5 + (x+2y)^5 + y^5
             BinaryForm.from_roots([F(i) for i in range(1, 6)]),
             200,
             "0.999751979222",
+        )
+        assert (f"{float(e.eps_lo):.12f}", f"{float(e.eps_hi):.12f}") == (
+            "0.999751979187",
+            "0.999751979262",
         )
 
     def test_criterion_7_sextic_5_6_wall(self):
@@ -394,3 +464,52 @@ class TestHyperbolicityWalls:
                     else:
                         hi = mid
                 assert (e.eps_lo, e.eps_hi) == (lo, hi)
+
+    def test_seeded_quartic_walls_match_is_real_rooted_bisection(self, monkeypatch):
+        # the scan decides most midpoints from disc(f_eps); a bisection
+        # that runs is_real_rooted at every midpoint must agree bracket for
+        # bracket.  At steps=1 one cell holds every root of disc(f_eps) in
+        # (0, 1), so some midpoints have roots on both sides and run
+        # is_real_rooted themselves.
+        calls = []
+        exact = boundary.is_real_rooted
+        monkeypatch.setattr(
+            boundary, "is_real_rooted", lambda f: calls.append(f) or exact(f)
+        )
+        config = RunConfig()
+        budget = SearchBudget(samples=config.rank_samples, restarts=config.multistarts)
+        rng = random.Random(2113)
+        fallbacks = 0
+        for k in range(40):
+            f_from, f_to = seeded_quartic_segment(rng)
+            if k % 2:
+                f_from, f_to = f_to, f_from
+            assert assert_walls_match_reference(f_from, f_to, 12)
+            for i in range(13):
+                eps = F(i, 12)
+                job = (f_from, f_to, eps, budget, config.seed)
+                assert _grid_rank(job) == real_rank(
+                    segment_form(f_from, f_to, eps), budget=budget, seed=config.seed
+                ).value
+            calls.clear()
+            assert assert_walls_match_reference(f_from, f_to, 1)
+            fallbacks += sum(1 for f in calls if f not in (f_from, f_to))
+        assert fallbacks > 0
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_first_midpoint_on_the_discriminant(self, reverse):
+        # f_1/2 = 2 x^2 (x - 5y)(x + 5y) has a double root that splits into
+        # two real roots for eps > 1/2, where f_eps stays hyperbolic up to
+        # f_1.  So the first midpoint of a one-cell scan is a root of
+        # disc(f_eps) and the wall itself, and one end of every later
+        # bracket sits on it: that end's hyperbolicity must not spread.
+        f_to = BinaryForm.from_roots([F(-6), F(-5), F(1), F(2)])
+        half = BinaryForm.from_roots([F(0), F(0), F(5), F(-5)])
+        f_from = half.scale(2) - f_to
+        if reverse:
+            f_from, f_to = f_to, f_from
+        assert discriminant(segment_form(f_from, f_to, F(1, 2))) == 0
+        walls = assert_walls_match_reference(f_from, f_to, 1)
+        assert len(walls) == 1
+        e = walls[0]
+        assert (e.eps_hi if reverse else e.eps_lo) == F(1, 2)

@@ -292,18 +292,26 @@ class TestSelfcheck:
         assert all(line.startswith("[PASS]") for line in lines[1:-1])
 
 
+def loaded_after(imports: str, packages: tuple[str, ...]) -> str:
+    """Top-level packages among ``packages`` loaded by a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        f"import sys, {imports}; "
+        f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip()
+
+
 class TestLazyImports:
     def test_package_and_cli_import_without_scipy(self):
         # scipy.optimize loads only when membership or the rank search runs
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = (
-            "import sys, crl_atlas, crl_atlas.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, check=True,
-            capture_output=True, text=True,
-        ).stdout
-        assert out.strip() == "[]"
+        assert loaded_after("crl_atlas, crl_atlas.cli", ("scipy",)) == "[]"
+
+    def test_package_imports_without_numpy(self):
+        # numpy loads only when a float layer runs: membership, the rank search
+        assert loaded_after("crl_atlas", ("numpy", "scipy")) == "[]"
