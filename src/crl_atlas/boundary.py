@@ -39,10 +39,11 @@ from .rank import (
     SearchBudget,
     _derive_seed,
     _disc_poly_in_t,
+    _residual_components,
+    _residual_jacobian,
     parallel_map,
     real_rank,
     root_chart,
-    unit_root_chart_jacobian,
 )
 
 __all__ = [
@@ -171,22 +172,6 @@ class MembershipReport:
             "tol_on": self.tol_on,
             "tol_off": self.tol_off,
         }
-
-
-# numpy is imported where it is used, so that importing the package does
-# not load it (about 60 ms): only membership tests need it
-
-
-def _residual_components(thetas, matrix, exponents):
-    import numpy as np
-
-    b = root_chart(thetas, exponents)
-    return matrix @ b / np.linalg.norm(b)
-
-
-def _residual_jacobian(thetas, matrix, exponents):
-    """Jacobian of _residual_components in the angles, in closed form."""
-    return matrix @ unit_root_chart_jacobian(thetas, exponents)
 
 
 def _start_angles(n: int, seed: int) -> list[tuple[float, ...]]:

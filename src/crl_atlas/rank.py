@@ -20,6 +20,7 @@ Complex certificates are always exact.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -160,34 +161,27 @@ def _pencil_real_rooted_element(q0: BinaryForm, q1: BinaryForm) -> BinaryForm | 
     return None
 
 
-def _pencil_squarefree_element(q0: BinaryForm, q1: BinaryForm) -> BinaryForm | None:
-    """A squarefree member of span{q0, q1}, or None (exact decision)."""
+def _small_integer(i: int) -> int:
+    """Term i of 0, 1, -1, 2, -2, ..."""
+    return (i + 1) // 2 if i % 2 else -(i // 2)
+
+
+def _pencil_squarefree_element(q0: BinaryForm, q1: BinaryForm) -> BinaryForm:
+    """A squarefree member of span{q0, q1}, a pencil free of base points.
+
+    Such a pencil has squarefree members (Sylvester), so disc(q0 + t*q1)
+    is not identically zero and the first small integer t outside its
+    roots gives one.
+    """
     disc_t = _disc_poly_in_t(q0, q1)
     if not disc_t:
-        return None
-    k = 0
-    while True:
-        for t in (Fraction(k), Fraction(-k)) if k else (Fraction(0),):
-            val = sum(c * t**m for m, c in enumerate(disc_t))
-            if val != 0:
-                return (q0 + q1.scale(t)).primitive()
-        k += 1
-
-
-def _height_vectors(dim: int, max_height: int):
-    """Integer vectors ordered by height, first nonzero entry positive."""
-    for h in range(1, max_height + 1):
-        stack: list[tuple[int, ...]] = [()]
-        while stack:
-            prefix = stack.pop()
-            if len(prefix) == dim:
-                if max(abs(c) for c in prefix) == h:
-                    yield prefix
-                continue
-            lead_seen = any(prefix)
-            lo = -h if lead_seen else 0
-            for c in range(lo, h + 1):
-                stack.append(prefix + (c,))
+        raise ArithmeticError(
+            "Sylvester's theorem: a pencil without base points has a squarefree member"
+        )
+    for i in itertools.count():
+        t = _small_integer(i)
+        if sum(c * t**m for m, c in enumerate(disc_t)) != 0:
+            return (q0 + q1.scale(t)).primitive()
 
 
 def _combine(basis: list[BinaryForm], vec) -> BinaryForm:
@@ -198,35 +192,15 @@ def _combine(basis: list[BinaryForm], vec) -> BinaryForm:
     return q
 
 
-def _first_squarefree_element(space: ApolarSpace) -> BinaryForm | None:
-    """Deterministic search for a squarefree element of the kernel.
-
-    Pairs of basis vectors are decided exactly through the pencil
-    discriminant; only if every pair fails does a height-ordered sweep
-    over larger integer combinations run.
-    """
-    basis = list(space.basis)
-    if len(basis) == 1:
-        return basis[0] if is_squarefree(basis[0]) else None
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            got = _pencil_squarefree_element(basis[i], basis[j])
-            if got is not None:
-                return got
-    for vec in _height_vectors(len(basis), 3):
-        q = _combine(basis, vec)
-        if not q.is_zero and is_squarefree(q):
-            return q.primitive()
-    return None
-
-
 def complex_rank(f: BinaryForm) -> RankCertificate:
-    """Waring rank of f over the complex numbers, with witness.
+    """Waring rank of f over the complex numbers, by Sylvester's theorem.
 
-    The first degree e1 with a nonzero apolar kernel either contains a
-    squarefree operator (rank e1) or does not, in which case the rank
-    is d + 2 - e1 and a squarefree operator of that degree exists.
-    Both branches are decided exactly.
+    The apolar ideal of f is a complete intersection (g1, g2) with
+    deg g1 = e1 <= deg g2 = e2 = d + 2 - e1.  The rank is e1 when the
+    first kernel is the pencil <g1, g2> (e1 = e2) or g1 is squarefree,
+    and e2 otherwise.  The witness comes from one pencil free of base
+    points: <g1, g2>, or <g2, g1 l^(e2 - e1)> for a line l not dividing
+    g2.  Every branch is exact.
     """
     if f.is_zero:
         raise ValueError("rank of the zero form is undefined")
@@ -234,47 +208,52 @@ def complex_rank(f: BinaryForm) -> RankCertificate:
     if d < 1:
         raise ValueError("rank needs degree at least 1")
     space = first_kernel(f)
-    e1 = space.r
-    witness = _first_squarefree_element(space)
-    if witness is not None:
-        return RankCertificate(e1, "complex", witness, "exact")
-    e2 = d + 2 - e1
-    witness = _first_squarefree_element(apolar_kernel(f, e2))
-    if witness is None:
-        raise ArithmeticError("no squarefree annihilator at either candidate degree")
-    return RankCertificate(e2, "complex", witness, "exact")
+    e1, g1 = space.r, space.basis[0]
+    if space.dim == 2:
+        rank, witness = e1, _pencil_squarefree_element(*space.basis)
+    elif is_squarefree(g1):
+        rank, witness = e1, g1
+    else:
+        rank = e2 = d + 2 - e1
+        # any element of the e2 kernel outside g1 * S_(e2 - e1) is a g2
+        g2 = next(
+            q for q in apolar_kernel(f, e2).basis if gcd_poly(g1, q).degree < e1
+        )
+        # l^(e2 - e1) for the first l of y, x, x - y, x + y, ... not dividing g2
+        power, i = BinaryForm.from_roots([], infinity=e2 - e1), 0
+        while gcd_poly(g2, power).degree:
+            power, i = BinaryForm.from_roots([_small_integer(i)] * (e2 - e1)), i + 1
+        witness = _pencil_squarefree_element(g2, g1 * power)
+    return RankCertificate(rank, "complex", witness, "exact")
 
 
 def _top_degree_witness(f: BinaryForm) -> BinaryForm:
     """Real-rooted annihilator of degree d, built constructively.
 
-    Fix d - 1 distinct rational roots, then solve the single linear
+    Fix d - 1 distinct small integer roots, then solve the single linear
     condition <a, q> = 0 for the remaining linear factor.  The result
-    is real-rooted unless the forced root collides with a chosen one,
+    is real-rooted unless the solved root collides with a chosen one,
     in which case a shifted root set is tried.
     """
     d = f.degree
     a = scaled_coefficients(f)
-    stream = [Fraction(0)]
-    for k in range(1, d + 40):
-        stream.extend((Fraction(k), Fraction(-k)))
     for start in range(40):
-        roots = stream[start : start + d - 1]
-        base = BinaryForm.from_roots(roots) if roots else BinaryForm(0, (Fraction(1),))
+        roots = [_small_integer(start + i) for i in range(d - 1)]
+        base = BinaryForm.from_roots(roots)
         qx = BinaryForm(d, base.coeffs + (Fraction(0),))
         qy = BinaryForm(d, (Fraction(0),) + base.coeffs)
         vx = _pairing_value(a, qx)
         vy = _pairing_value(a, qy)
         if vx == 0 and vy == 0:
-            fresh = next(t for t in stream if t not in roots)
-            q = qx + qy.scale(-fresh)
-        elif vy == 0:
+            fresh = next(
+                t for t in map(_small_integer, itertools.count()) if t not in roots
+            )
+            return (qx + qy.scale(-fresh)).primitive()
+        if vy == 0:
             # alpha must vanish, leaving base * Dy (root at infinity)
-            q = qy
-        else:
-            q = qx.scale(vy) + qy.scale(-vx)
-        if is_real_rooted(q):
-            return q.primitive()
+            return qy.primitive()
+        if vx / vy not in roots:
+            return (qx.scale(vy) + qy.scale(-vx)).primitive()
     raise ArithmeticError("could not build a top-degree real-rooted annihilator")
 
 
@@ -363,6 +342,23 @@ def unit_root_chart_jacobian(thetas, exponents):
     return (jac - np.outer(unit, unit @ jac)) / norm
 
 
+def _residual_components(thetas, matrix, exponents):
+    """matrix @ b / |b|, where b = root_chart(thetas, exponents).
+
+    Dual membership passes the normalized catalecticant of f, the rank
+    search the projection I - Q Q^T off the kernel span.
+    """
+    import numpy as np
+
+    b = root_chart(thetas, exponents)
+    return matrix @ b / np.linalg.norm(b)
+
+
+def _residual_jacobian(thetas, matrix, exponents):
+    """Jacobian of _residual_components in the angles, in closed form."""
+    return matrix @ unit_root_chart_jacobian(thetas, exponents)
+
+
 def _random_real_rooted_search(
     space: ApolarSpace,
     budget: SearchBudget,
@@ -373,11 +369,12 @@ def _random_real_rooted_search(
     Candidates are generated in float and certified exactly before
     being returned.  Two generators run in sequence: integer
     combinations of a norm-balanced basis, then multistart least
-    squares over root space.  The root chart q(t) = prod (x - t_i y)
-    covers every real-rooted form, so minimizing the defect of q(t)
-    against the kernel span finds witnesses even when the real-rooted
-    cone is a thin sliver in coefficient space.  Failure is evidence,
-    not proof.
+    squares over root space.  The root chart covers every real-rooted
+    form, so driving the part of its unit vector outside the kernel
+    span to zero finds witnesses even when the real-rooted cone is a
+    thin sliver in coefficient space.  The count returned adds up
+    integer combinations drawn, exact certifications and residual
+    evaluations.  Failure is evidence, not proof.
     """
     import numpy as np
     from scipy.optimize import least_squares
@@ -440,23 +437,14 @@ def _random_real_rooted_search(
             if got is not None:
                 return got, used
     scored.sort(key=lambda item: item[0])
-    for _, vec in scored[:20]:
-        got = certify(_combine(balanced, vec))
-        if got is not None:
-            return got, used
 
     # phase 2: least squares over root space.  theta parametrizes a
     # product of r simple factors (cos t x - sin t y); the residual is the
-    # part of that product sticking out of the kernel span.
+    # part of its unit vector sticking out of the kernel span, with the
+    # closed-form Jacobian that dual membership uses too.
     r = basis[0].degree
     simple = (1,) * r
-
-    def defect(thetas) -> np.ndarray:
-        nonlocal used
-        used += 1
-        vec = root_chart(thetas, simple)
-        vec = vec / np.linalg.norm(vec)
-        return vec - qmat @ (qmat.T @ vec)
+    off_kernel = np.eye(r + 1) - qmat @ qmat.T
 
     # seed from the roots of the best integer combos, then at random
     seeds_t: list[np.ndarray] = []
@@ -472,10 +460,12 @@ def _random_real_rooted_search(
 
     for t0 in seeds_t[: budget.restarts]:
         fit = least_squares(
-            defect, t0, method="trf",
+            _residual_components, t0, jac=_residual_jacobian,
+            args=(off_kernel, simple), method="trf",
             max_nfev=800,
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
         )
+        used += fit.nfev
         if np.linalg.norm(fit.fun) < 1e-10:
             got = snap_and_project(root_chart(fit.x, simple))
             if got is not None:
@@ -573,9 +563,10 @@ _SNAP = 1 << 40
 
 
 def _sample_form(d: int, rng: random.Random, distribution: str) -> BinaryForm:
-    # draws live in the scaled basis (plain coefficient divided by the
-    # binomial), the rotation-invariant gaussian ensemble on forms; a
-    # plain-basis draw would make the top typical rank vanishingly rare
+    # the scaled coordinates c_i / C(d, i) are drawn i.i.d. N(0, 1) (or
+    # U(-1, 1)); this is not the rotation-invariant (Kostlan) ensemble,
+    # whose c_i are sqrt(C(d, i)) N(0, 1).  A plain-basis draw would make
+    # the top typical rank vanishingly rare
     from math import comb
 
     coeffs = []

@@ -376,6 +376,19 @@ def swap_xy(f: BinaryForm) -> BinaryForm:
     return BinaryForm(f.degree, tuple(reversed(f.coeffs)))
 
 
+def gl2_act(f: BinaryForm, matrix) -> BinaryForm:
+    """The form f(a x + b y, c x + d y) for matrix = (a, b, c, d), exactly."""
+    a, b, c, d = (Fraction(v) for v in matrix)
+    u, v = BinaryForm(1, (a, b)), BinaryForm(1, (c, d))
+    out = [Fraction(0)] * (f.degree + 1)
+    for i, coeff in enumerate(f.coeffs):
+        term = BinaryForm(0, (coeff,))
+        for factor in [u] * (f.degree - i) + [v] * i:
+            term = form_mul(term, factor)
+        out = [s + t for s, t in zip(out, term.coeffs)]
+    return BinaryForm(f.degree, tuple(out))
+
+
 def random_form(rng: random.Random, d: int, spread: int = 20) -> BinaryForm:
     while True:
         coeffs = tuple(

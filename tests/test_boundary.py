@@ -19,8 +19,6 @@ from crl_atlas.boundary import (
     THEOREM_EXACT,
     THEOREM_SUPERSET,
     _grid_rank,
-    _residual_components,
-    _residual_jacobian,
     candidate_components,
     crossing_scan,
     dual_membership,
@@ -28,7 +26,12 @@ from crl_atlas.boundary import (
 from crl_atlas.config import RunConfig
 from crl_atlas.partitions import enumerate_partitions
 from crl_atlas.poly_core import BinaryForm, discriminant, is_real_rooted
-from crl_atlas.rank import SearchBudget, real_rank
+from crl_atlas.rank import (
+    SearchBudget,
+    _residual_components,
+    _residual_jacobian,
+    real_rank,
+)
 
 from oracles import (
     _eval as oracle_eval,
@@ -189,33 +192,44 @@ class TestDualMembership:
 
 
 class TestResidualJacobian:
-    """The descent's closed-form Jacobian against central differences."""
+    """Both descents' closed-form Jacobian against central differences."""
+
+    @staticmethod
+    def check(rng, matrix, exponents):
+        h = 1e-6
+        n = len(exponents)
+        starts = [[rng.uniform(-math.pi / 2, math.pi / 2) for _ in range(n)]
+                  for _ in range(3)]
+        starts.append([math.pi / 2] + starts[0][1:])  # a root at infinity
+        starts.append([math.pi / 2] * n)
+        for thetas in starts:
+            jac = _residual_jacobian(thetas, matrix, exponents)
+            fd = np.column_stack([
+                (_residual_components(np.add(thetas, step), matrix, exponents)
+                 - _residual_components(np.subtract(thetas, step), matrix, exponents))
+                / (2 * h)
+                for step in h * np.eye(n)
+            ])
+            assert jac.shape == fd.shape == (len(matrix), n)
+            err = np.linalg.norm(jac - fd) / np.linalg.norm(fd)
+            assert err <= 1e-6, (exponents, thetas, err)
 
     @pytest.mark.parametrize("d", [4, 5, 6, 7])
     def test_matches_central_differences(self, d):
         rng = random.Random(d)
-        h = 1e-6
         for mu in enumerate_partitions(d, min_part=2):
             n = len(mu)
             exponents = tuple(m - 1 for m in mu)
             f = BinaryForm(d, tuple(F(rng.randint(-9, 9)) for _ in range(d + 1)))
             norm = np.linalg.norm(np.array(scaled_coefficients(f), dtype=float))
             matrix = np.array(catalecticant(f, d - n).entries, dtype=float) / norm
-            starts = [[rng.uniform(-math.pi / 2, math.pi / 2) for _ in range(n)]
-                      for _ in range(3)]
-            starts.append([math.pi / 2] + starts[0][1:])  # a root at infinity
-            starts.append([math.pi / 2] * n)
-            for thetas in starts:
-                jac = _residual_jacobian(thetas, matrix, exponents)
-                fd = np.column_stack([
-                    (_residual_components(np.add(thetas, step), matrix, exponents)
-                     - _residual_components(np.subtract(thetas, step), matrix, exponents))
-                    / (2 * h)
-                    for step in h * np.eye(n)
-                ])
-                assert jac.shape == fd.shape == (n + 1, n)
-                err = np.linalg.norm(jac - fd) / np.linalg.norm(fd)
-                assert err <= 1e-6, (mu, thetas, err)
+            self.check(rng, matrix, exponents)
+        # the rank search's I - Q Q^T off a random (d - 2)-dimensional
+        # span of degree-d operators, every exponent 1
+        span = np.array([[rng.randint(-9, 9) for _ in range(d + 1)]
+                         for _ in range(d - 2)], dtype=float)
+        qmat, _ = np.linalg.qr(span.T)
+        self.check(rng, np.eye(d + 1) - qmat @ qmat.T, (1,) * d)
 
 
 def forms_annihilated_by_pattern(rng, mu):

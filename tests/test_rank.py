@@ -24,7 +24,9 @@ from crl_atlas.rank import (
 )
 
 from oracles import (
+    form_add,
     gauss_kernel,
+    gl2_act,
     interpolate,
     oracle_apply,
     oracle_is_real_rooted,
@@ -41,8 +43,13 @@ def power_of_x(d: int) -> BinaryForm:
     return BinaryForm(d, tuple(F(1 if i == 0 else 0) for i in range(d + 1)))
 
 
+def monomial(a: int, b: int) -> BinaryForm:
+    """x^a y^b."""
+    return BinaryForm(a + b, tuple(F(1 if i == b else 0) for i in range(a + b + 1)))
+
+
 def monomial_xd1y(d: int) -> BinaryForm:
-    return BinaryForm(d, tuple(F(1 if i == 1 else 0) for i in range(d + 1)))
+    return monomial(d - 1, 1)
 
 
 def hankel_kernel(f: BinaryForm, r: int) -> list[list[F]]:
@@ -74,18 +81,59 @@ class TestComplexRank:
             assert cert.lower_bound_kind == "exact"
             check_witness(cert, power_of_x(d))
 
-    @pytest.mark.parametrize("d", range(3, 9))
+    @pytest.mark.parametrize("d", range(3, 10))
     def test_near_power_monomial_hits_top_rank(self, d):
-        f = monomial_xd1y(d)
-        cert = complex_rank(f)
-        assert cert.value == d
-        check_witness(cert, f)
-        # independent refutation of every smaller rank: each kernel basis
-        # vector has no Dx^r or Dx^(r-1)Dy component, so the whole kernel
-        # is divisible by Dy^2 and contains nothing squarefree
-        for r in range(1, d):
-            for vec in hankel_kernel(f, r):
-                assert vec[0] == 0 and vec[1] == 0
+        # x^a y^b with 1 <= b < a has complex rank a + 1
+        # (Carlini-Catalisano-Geramita 2012): its first kernel is Dy^(b+1),
+        # not squarefree, so Sylvester's second pencil decides it
+        for b in range(1, (d + 1) // 2):
+            a = d - b
+            f = monomial(a, b)
+            cert = complex_rank(f)
+            assert cert.value == a + 1
+            check_witness(cert, f)
+            # independent refutation of every smaller rank: each kernel basis
+            # vector has no Dx^(r-j) Dy^j component for j <= b, so the whole
+            # kernel is divisible by Dy^(b+1) and contains nothing squarefree
+            for r in range(1, a + 1):
+                for vec in hankel_kernel(f, r):
+                    assert all(v == 0 for v in vec[: b + 1])
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_sum_of_two_powers_is_rank_two(self, d):
+        # first kernel <g1> of degree 2 < e2 = d with g1 squarefree
+        two_powers = form_add(monomial(d, 0), monomial(0, d))
+        # x^d + y^d and (x + y)^d + (x - 2y)^d
+        for f in (two_powers, gl2_act(two_powers, (1, 1, 1, -2))):
+            cert = complex_rank(f)
+            assert cert.value == 2
+            check_witness(cert, f)
+
+    def test_invariant_under_gl2(self):
+        # the complex rank of g.f equals that of f for invertible g; the
+        # forms cover all three of Sylvester's branches
+        rng = random.Random(2200)
+        forms = []
+        for i in range(200):
+            d = rng.randint(2, 8)
+            if i % 3 == 0:
+                b = rng.randint(0, d)
+                forms.append(monomial(d - b, b))
+            elif i % 3 == 1:
+                roots = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(d)]
+                forms.append(BinaryForm.from_roots(roots))
+            else:
+                forms.append(random_form(rng, d, spread=5))
+        for f in forms:
+            while True:
+                g = tuple(rng.randint(-3, 3) for _ in range(4))
+                if g[0] * g[3] != g[1] * g[2]:
+                    break
+            moved = gl2_act(f, g)
+            cert, moved_cert = complex_rank(f), complex_rank(moved)
+            assert moved_cert.value == cert.value, (f, g)
+            check_witness(cert, f)
+            check_witness(moved_cert, moved)
 
     def test_generic_forms_hit_generic_rank(self):
         rng = random.Random(40)
