@@ -28,13 +28,7 @@ from fractions import Fraction
 from .apolarity import catalecticant, is_generic_degrees, scaled_coefficients
 from .config import RunConfig
 from .partitions import Partition, enumerate_partitions, format_partition
-from .poly_core import (
-    BinaryForm,
-    _sturm_signs_at,
-    _variations,
-    is_real_rooted,
-    sturm_chain,
-)
+from .poly_core import BinaryForm, is_real_rooted, sturm_counter
 from .rank import (
     SearchBudget,
     _derive_seed,
@@ -98,6 +92,11 @@ def _partitions_of_lengths(d: int, lengths) -> list[Partition]:
     return sorted(set(found), reverse=True)
 
 
+def _lowest_typical_rank(d: int) -> int:
+    """The smallest real rank held on an open set of forms of degree d."""
+    return d // 2 + 1
+
+
 def candidate_components(d: int, r: int, mode: str = "expected") -> BoundaryCandidateSet:
     """Candidate components of the boundary between ranks r and r + 1.
 
@@ -111,8 +110,7 @@ def candidate_components(d: int, r: int, mode: str = "expected") -> BoundaryCand
         raise ValueError("mode must be 'theorem' or 'expected'")
     if d < 3:
         raise ValueError("degree must be at least 3")
-    minimal = (d + 2) // 2 if d % 2 == 0 else (d + 1) // 2
-    if not minimal <= r <= d:
+    if not _lowest_typical_rank(d) <= r <= d:
         raise ValueError(f"r={r} is not a typical rank for degree {d}")
 
     if d % 2 == 1:
@@ -295,7 +293,7 @@ class CrossingEvent:
     r_left: int
     r_right: int
     memberships: tuple[MembershipReport, ...]
-    anomaly: bool  # no candidate came back "on"
+    anomaly: bool  # a wall between typical ranks with no candidate "on"
 
     @property
     def eps_mid(self) -> Fraction:
@@ -319,64 +317,36 @@ def _path_form(f_from: BinaryForm, f_to: BinaryForm, eps: Fraction) -> BinaryFor
 
 def _grid_rank(args) -> int:
     f_from, f_to, eps, budget, seed = args
-    f = _path_form(f_from, f_to, eps)
-    if is_real_rooted(f):
-        # real_rank's own first branch, without the witness nobody reads
-        return f.degree
-    return real_rank(f, budget=budget, seed=seed).value
+    return real_rank(_path_form(f_from, f_to, eps), budget=budget, seed=seed).value
 
 
-class _SegmentHyperbolicity:
-    """is_real_rooted(f_eps) on one segment, decided from disc(f_eps).
+def _segment_hyperbolicity(f_from: BinaryForm, f_to: BinaryForm):
+    """eps -> is_real_rooted(f_eps) on one segment, decided from disc(f_eps).
 
     p(eps) = disc((1 - eps) f_from + eps f_to) is a single integer
     polynomial of degree at most 2d - 2.  f_eps has a repeated root
     exactly where p vanishes, and its number of real roots changes only
-    there, so hyperbolicity is constant on every interval free of roots
-    of p.  A point whose interval to a known end holds no root of p (the
-    Sturm variations agree) takes that end's hyperbolicity; only a point
-    with roots of p on both sides runs is_real_rooted.
+    there, so hyperbolicity is constant between consecutive real roots
+    of p.  The Sturm variations of p's chain number those intervals, and
+    ``is_real_rooted`` runs once per interval that is asked about.
     """
+    p = _disc_poly_in_t(f_from, f_to - f_from)
+    if not p:  # every f_eps has a repeated root
+        return lambda eps: False
+    # away from the roots of p, the variations of its own chain count
+    # distinct roots as those of its squarefree part's chain do
+    at = sturm_counter(p)
+    by_interval: dict[int, bool] = {}
 
-    def __init__(self, f_from: BinaryForm, f_to: BinaryForm) -> None:
-        self.f_from, self.f_to = f_from, f_to
-        p = _disc_poly_in_t(f_from, f_to - f_from)
-        # away from the roots of p, the variations of its own chain count
-        # distinct roots as those of its squarefree part's chain do
-        self.chain = sturm_chain(p) if p else None
-        # (numerator, denominator) of eps -> [sign of p, variations, hyperbolic]
-        self.seen: dict[tuple[int, int], list] = {}
+    def hyperbolic(eps: Fraction) -> bool:
+        sign, interval = at(eps)
+        if not sign:  # on the discriminant, f_eps has a repeated root
+            return False
+        if interval not in by_interval:
+            by_interval[interval] = is_real_rooted(_path_form(f_from, f_to, eps))
+        return by_interval[interval]
 
-    def _at(self, eps: Fraction) -> list:
-        key = (eps.numerator, eps.denominator)
-        state = self.seen.get(key)
-        if state is None:
-            if self.chain is None:  # p is identically zero
-                state = [0, 0, False]
-            else:
-                signs = _sturm_signs_at(self.chain, eps)
-                # on the discriminant, f_eps has a repeated root
-                state = [signs[0], _variations(signs), None if signs[0] else False]
-            self.seen[key] = state
-        return state
-
-    def _decide(self, eps: Fraction, state: list) -> bool:
-        if state[2] is None:
-            state[2] = is_real_rooted(_path_form(self.f_from, self.f_to, eps))
-        return state[2]
-
-    def __call__(self, lo: Fraction, mid: Fraction, hi: Fraction) -> bool:
-        """is_real_rooted(f_mid) for lo < mid < hi."""
-        state = self._at(mid)
-        if state[2] is None:
-            for end in (lo, hi):
-                known = self._at(end)
-                if known[0] and known[1] == state[1]:
-                    state[2] = self._decide(end, known)
-                    break
-            else:
-                self._decide(mid, state)
-        return state[2]
+    return hyperbolic
 
 
 def crossing_scan(
@@ -391,19 +361,18 @@ def crossing_scan(
     Ranks are evaluated on an exact rational grid, each change is
     bisected to an interval of width 1e-10, and the form at the
     interval midpoint is tested against the expected candidate duals
-    for the smaller of the two ranks.  A hyperbolic grid point has rank
-    d without further work.  A change between ranks d - 1 and d is
-    bisected on exact hyperbolicity, since a squarefree form has real
-    rank d exactly when it is hyperbolic; a midpoint that lies on the
-    discriminant counts as not hyperbolic.  That predicate is memoized
-    on the one integer polynomial disc(f_eps), built at the first such
-    change: a midpoint with no root of it between itself and one end of
-    the bracket shares that end's hyperbolicity, and only the others run
-    ``is_real_rooted``, so the brackets are those of an ``is_real_rooted``
-    call at every midpoint.  Every other change is bisected on
-    ``real_rank``.  Every rank depends only on its form, the budget and
-    the seed, so the grid ranks are the same for any number of worker
-    processes.
+    for the smaller of the two ranks when that rank is typical; a wall
+    down to a smaller rank has no candidates and is never an anomaly.
+    A squarefree form has real rank d exactly when it is hyperbolic, so
+    one predicate decides hyperbolicity for the whole scan: it builds
+    the integer polynomial p(eps) = disc(f_eps) once, counts a point on
+    the discriminant as not hyperbolic, and runs ``is_real_rooted`` once
+    per interval between consecutive roots of p.  The grid gives its
+    hyperbolic points rank d without a witness and ranks only the others
+    with ``real_rank``; a change between ranks d - 1 and d is bisected
+    on the same predicate, and every other change on ``real_rank``.
+    Every rank depends only on its form, the budget and the seed, so
+    the grid ranks are the same for any number of worker processes.
     """
     if config is None:
         config = RunConfig()
@@ -418,27 +387,28 @@ def crossing_scan(
             )
     d = f_from.degree
     budget = SearchBudget(samples=config.rank_samples, restarts=config.multistarts)
+    hyperbolic = _segment_hyperbolicity(f_from, f_to)
 
+    grid = [d if hyperbolic(Fraction(i, steps)) else None for i in range(steps + 1)]
     jobs = [
         (f_from, f_to, Fraction(i, steps), budget, config.seed)
-        for i in range(steps + 1)
+        for i, r in enumerate(grid)
+        if r is None
     ]
-    grid = parallel_map(_grid_rank, jobs, threads)
+    ranks = iter(parallel_map(_grid_rank, jobs, threads))
+    grid = [next(ranks) if r is None else r for r in grid]
 
     events: list[CrossingEvent] = []
-    hyperbolic = None  # built on the first d - 1 <-> d change, then shared
     for i in range(steps):
         r_left, r_right = grid[i], grid[i + 1]
         if r_left == r_right:
             continue
         lo, hi = Fraction(i, steps), Fraction(i + 1, steps)
         on_hyperbolicity_wall = {r_left, r_right} == {d - 1, d}
-        if on_hyperbolicity_wall and hyperbolic is None:
-            hyperbolic = _SegmentHyperbolicity(f_from, f_to)
         while hi - lo > _BISECT_WIDTH:
             mid = (lo + hi) / 2
             if on_hyperbolicity_wall:
-                left = hyperbolic(lo, mid, hi) == (r_left == d)
+                left = hyperbolic(mid) == (r_left == d)
             else:
                 f = _path_form(f_from, f_to, mid)
                 left = real_rank(f, budget=budget, seed=config.seed).value == r_left
@@ -446,12 +416,15 @@ def crossing_scan(
                 lo = mid
             else:
                 hi = mid
-        f_mid = _path_form(f_from, f_to, (lo + hi) / 2)
-        candidates = candidate_components(d, min(r_left, r_right), "expected")
-        memberships = tuple(
-            dual_membership(f_mid, mu, config) for mu in candidates.partitions
-        )
-        anomaly = not any(m.verdict == "on" for m in memberships)
+        memberships, anomaly = (), False
+        r_low = min(r_left, r_right)
+        if r_low >= _lowest_typical_rank(d):
+            f_mid = _path_form(f_from, f_to, (lo + hi) / 2)
+            memberships = tuple(
+                dual_membership(f_mid, mu, config)
+                for mu in candidate_components(d, r_low, "expected").partitions
+            )
+            anomaly = not any(m.verdict == "on" for m in memberships)
         events.append(
             CrossingEvent(lo, hi, r_left, r_right, memberships, anomaly)
         )

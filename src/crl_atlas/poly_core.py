@@ -324,6 +324,28 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def sturm_counter(p):
+    """x -> (sign of p(x), sign variations of p's Sturm chain at x), memoized.
+
+    p must be nonzero.  Between two consecutive distinct real roots of p
+    the variations are constant, and they drop by one across each root,
+    so two non-roots have equal variations exactly when no root of p
+    lies between them.  The memo is keyed by the ints because hashing a
+    Fraction costs a modular inverse.
+    """
+    chain = sturm_chain(p)
+    seen: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def at(x: Fraction) -> tuple[int, int]:
+        key = (x.numerator, x.denominator)
+        if key not in seen:
+            signs = _sturm_signs_at(chain, x)
+            seen[key] = (signs[0], _variations(signs))
+        return seen[key]
+
+    return at
+
+
 def uv_root_bound(p) -> Fraction:
     """Cauchy bound: every real root lies strictly inside (-B, B)."""
     q = _int_poly(p)
@@ -341,18 +363,8 @@ def isolate_real_roots(p) -> list[tuple[Fraction, Fraction]]:
     ps = _squarefree_int(_int_poly(p))
     if len(ps) < 2:
         return []
-    chain = sturm_chain(ps)
+    at = sturm_counter(ps)
     bound = uv_root_bound(ps)
-    # (sign of ps, sign variations of the chain) per point; keyed by the
-    # ints because hashing a Fraction costs a modular inverse
-    seen: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def at(x: Fraction) -> tuple[int, int]:
-        key = (x.numerator, x.denominator)
-        if key not in seen:
-            signs = _sturm_signs_at(chain, x)
-            seen[key] = (signs[0], _variations(signs))
-        return seen[key]
 
     def count(a: Fraction, b: Fraction) -> int:
         return at(a)[1] - at(b)[1]

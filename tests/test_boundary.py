@@ -6,6 +6,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from crl_atlas import boundary
 from crl_atlas.apolarity import (
@@ -18,16 +19,16 @@ from crl_atlas.boundary import (
     EXPECTED_SHARP,
     THEOREM_EXACT,
     THEOREM_SUPERSET,
-    _grid_rank,
+    _segment_hyperbolicity,
     candidate_components,
     crossing_scan,
     dual_membership,
 )
+from crl_atlas.cli import main
 from crl_atlas.config import RunConfig
 from crl_atlas.partitions import enumerate_partitions
 from crl_atlas.poly_core import BinaryForm, discriminant, is_real_rooted
 from crl_atlas.rank import (
-    SearchBudget,
     _residual_components,
     _residual_jacobian,
     real_rank,
@@ -365,6 +366,24 @@ class TestCrossingScan:
         assert out["memberships"][0]["mu"] == "4"
         assert F(out["eps_lo"]) <= F(out["eps_hi"])
 
+    def test_grid_point_below_the_typical_ranks(self):
+        # both ends have rank 3, but the grid point f_1/2 = x^4 + (x + 2y)^4
+        # has real rank 2, which bounds no region: its two events carry no
+        # candidates and are no anomaly
+        ends = ("19/10,83/10,47/2,159/5,167/10", "21/10,77/10,49/2,161/5,153/10")
+        f_from, f_to = (form(*text.split(",")) for text in ends)
+        assert segment_form(f_from, f_to, F(1, 2)) == power_sum([(1, 0), (1, 2)], 4)
+        events = crossing_scan(f_from, f_to, 4)
+        assert [(e.r_left, e.r_right) for e in events] == [(3, 2), (2, 3)]
+        assert events[0].eps_hi == F(1, 2) == events[1].eps_lo
+        assert all(e.memberships == () and not e.anomaly for e in events)
+        res = CliRunner().invoke(
+            main,
+            ["--format", "text", "boundary", "cross", "--d", "4", "--from", ends[0],
+             "--to", ends[1], "--steps", "4"],
+        )
+        assert res.exit_code == 0, res.output
+
 
 def power_sum(directions, d: int) -> BinaryForm:
     """Sum of (a x + b y)^d over the given (a, b)."""
@@ -405,6 +424,25 @@ def reference_wall_bracket(f_from, f_to, steps, event):
         else:
             hi = mid
     return lo, hi
+
+
+def disc_in_eps(f_from, f_to):
+    """disc(f_eps) as a polynomial in eps, descending, by interpolation."""
+    d = f_from.degree
+    nodes = [F(k, 7) for k in range(2 * d - 1)]
+    return interpolate(
+        [(t, discriminant(segment_form(f_from, f_to, t))) for t in nodes]
+    )
+
+
+def assert_hyperbolicity_predicate(f_from, f_to, steps, events):
+    """The scan's predicate is is_real_rooted at grid points and bracket ends."""
+    hyperbolic = _segment_hyperbolicity(f_from, f_to)
+    points = {F(i, steps) for i in range(steps + 1)}
+    for e in events:
+        points |= {e.eps_lo, e.eps_hi}
+    for eps in sorted(points):
+        assert hyperbolic(eps) == is_real_rooted(segment_form(f_from, f_to, eps)), eps
 
 
 def assert_walls_match_reference(f_from, f_to, steps):
@@ -480,35 +518,35 @@ class TestHyperbolicityWalls:
                 assert (e.eps_lo, e.eps_hi) == (lo, hi)
 
     def test_seeded_quartic_walls_match_is_real_rooted_bisection(self, monkeypatch):
-        # the scan decides most midpoints from disc(f_eps); a bisection
-        # that runs is_real_rooted at every midpoint must agree bracket for
-        # bracket.  At steps=1 one cell holds every root of disc(f_eps) in
-        # (0, 1), so some midpoints have roots on both sides and run
-        # is_real_rooted themselves.
+        # a bisection that runs is_real_rooted at every midpoint must agree
+        # with the scan bracket for bracket, while the scan itself runs
+        # is_real_rooted at most once per interval between the real roots
+        # of disc(f_eps): at most 7 times on a quartic, against 13 grid
+        # points at steps=12.  At steps=1 one cell holds every root of
+        # disc(f_eps) in (0, 1), so some intervals hold no grid point and
+        # a midpoint inside them runs is_real_rooted itself.
         calls = []
         exact = boundary.is_real_rooted
         monkeypatch.setattr(
             boundary, "is_real_rooted", lambda f: calls.append(f) or exact(f)
         )
-        config = RunConfig()
-        budget = SearchBudget(samples=config.rank_samples, restarts=config.multistarts)
         rng = random.Random(2113)
-        fallbacks = 0
+        midpoint_calls = 0
         for k in range(40):
             f_from, f_to = seeded_quartic_segment(rng)
             if k % 2:
                 f_from, f_to = f_to, f_from
-            assert assert_walls_match_reference(f_from, f_to, 12)
-            for i in range(13):
-                eps = F(i, 12)
-                job = (f_from, f_to, eps, budget, config.seed)
-                assert _grid_rank(job) == real_rank(
-                    segment_form(f_from, f_to, eps), budget=budget, seed=config.seed
-                ).value
-            calls.clear()
-            assert assert_walls_match_reference(f_from, f_to, 1)
-            fallbacks += sum(1 for f in calls if f not in (f_from, f_to))
-        assert fallbacks > 0
+            disc = disc_in_eps(f_from, f_to)
+            bound = 1 + max(abs(c / disc[0]) for c in disc)
+            intervals = 1 + count_roots_in(squarefree_part(disc), -bound, bound)
+            for steps in (12, 1):
+                calls.clear()
+                walls = assert_walls_match_reference(f_from, f_to, steps)
+                assert walls and len(calls) <= intervals
+                grid = {segment_form(f_from, f_to, F(i, steps)) for i in range(steps + 1)}
+                midpoint_calls += sum(1 for f in calls if f not in grid)
+                assert_hyperbolicity_predicate(f_from, f_to, steps, walls)
+        assert midpoint_calls > 0
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_first_midpoint_on_the_discriminant(self, reverse):
@@ -527,3 +565,14 @@ class TestHyperbolicityWalls:
         assert len(walls) == 1
         e = walls[0]
         assert (e.eps_hi if reverse else e.eps_lo) == F(1, 2)
+        assert_hyperbolicity_predicate(f_from, f_to, 1, walls)
+
+    def test_segment_inside_the_discriminant(self):
+        # every form on this segment has the double root x = 0
+        f_from = BinaryForm.from_roots([F(0), F(0), F(1), F(2)])
+        f_to = BinaryForm.from_roots([F(0), F(0), F(-1), F(3)])
+        assert not disc_in_eps(f_from, f_to)
+        hyperbolic = _segment_hyperbolicity(f_from, f_to)
+        for eps in (F(0), F(1, 3), F(1)):
+            assert not hyperbolic(eps)
+            assert not is_real_rooted(segment_form(f_from, f_to, eps))

@@ -20,6 +20,7 @@ from crl_atlas.poly_core import (
     parse_rational,
     resultant,
     sturm_chain,
+    sturm_counter,
     uv_gcd,
     uv_root_bound,
     uv_squarefree_part,
@@ -440,6 +441,31 @@ class TestIntegerInternalsAgainstOracle:
             assert all(isinstance(c, int) for c in q)
             assert math.gcd(*q) == 1
         assert count_real_roots(_as_form(p)) == (3, True)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [[-1, 1], [-1, 1], [-3, 1], [1, 0, 1]],  # (t - 1)^2 (t - 3)(t^2 + 1)
+            [[2, 1], [F(-1, 2), 1], [-3, 1], [-2, 0, 1]],  # squarefree, five real roots
+        ],
+    )
+    def test_sturm_counter_signs_and_intervals(self, factors):
+        p = [F(1)]
+        for q in factors:
+            p = _mul_asc(p, [F(c) for c in q])
+        at = sturm_counter(p)
+        desc = p[::-1]
+        sf = squarefree_part(desc)
+        points = sorted({F(n, k) for n in range(-12, 13) for k in (1, 2, 3, 4)})
+        for x in points:
+            value = oracle_eval(desc, x)
+            assert at(x)[0] == (value > 0) - (value < 0)
+        off = [x for x in points if at(x)[0]]
+        assert len(off) < len(points)
+        for i, lo in enumerate(off):
+            for hi in off[i + 1 :]:
+                free = count_roots_in(sf, lo, hi) == 0
+                assert (at(lo)[1] == at(hi)[1]) == free, (lo, hi)
 
 
 class TestRationalText:
