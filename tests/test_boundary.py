@@ -41,6 +41,7 @@ from oracles import (
     form_mul,
     interpolate,
     oracle_is_real_rooted,
+    random_form,
     squarefree_part,
     swap_xy,
 )
@@ -137,12 +138,16 @@ class TestDualMembership:
         assert report.residual > 1e-3
 
     def test_verdict_invariant_under_scaling(self):
-        f = form(1, 0, 0, 0, 1, 0)
-        base = dual_membership(f, (3, 2))
-        for s in (F(-3), F(1, 7), F(1000)):
-            scaled = dual_membership(f.scale(s), (3, 2))
-            assert scaled.verdict == base.verdict
-            assert scaled.residual == pytest.approx(base.residual, abs=1e-12)
+        for f, mu in [
+            (form(1, 0, 0, 0, 1, 0), (3, 2)),
+            (BinaryForm.from_roots([F(0), F(0), F(1), F(2), F(3)]), (5,)),
+            (form(-2, 0, -6, 3, 6, -5), (5,)),
+        ]:
+            base = dual_membership(f, mu)
+            for s in (F(-3), F(1, 7), F(1000)):
+                scaled = dual_membership(f.scale(s), mu)
+                assert scaled.verdict == base.verdict
+                assert scaled.residual == pytest.approx(base.residual, abs=1e-12)
 
     def test_verdict_invariant_under_swap(self):
         for coeffs, mu in [
@@ -192,6 +197,11 @@ class TestDualMembership:
         assert first == second
 
 
+def normalized_catalecticant(f: BinaryForm, s: int) -> np.ndarray:
+    norm = np.linalg.norm(np.array(scaled_coefficients(f), dtype=float))
+    return np.array(catalecticant(f, s).entries, dtype=float) / norm
+
+
 class TestResidualJacobian:
     """Both descents' closed-form Jacobian against central differences."""
 
@@ -222,15 +232,69 @@ class TestResidualJacobian:
             n = len(mu)
             exponents = tuple(m - 1 for m in mu)
             f = BinaryForm(d, tuple(F(rng.randint(-9, 9)) for _ in range(d + 1)))
-            norm = np.linalg.norm(np.array(scaled_coefficients(f), dtype=float))
-            matrix = np.array(catalecticant(f, d - n).entries, dtype=float) / norm
-            self.check(rng, matrix, exponents)
+            self.check(rng, normalized_catalecticant(f, d - n), exponents)
         # the rank search's I - Q Q^T off a random (d - 2)-dimensional
         # span of degree-d operators, every exponent 1
         span = np.array([[rng.randint(-9, 9) for _ in range(d + 1)]
                          for _ in range(d - 2)], dtype=float)
         qmat, _ = np.linalg.qr(span.T)
         self.check(rng, np.eye(d + 1) - qmat @ qmat.T, (1,) * d)
+
+
+def grid_minimum(f: BinaryForm, points: int = 4096) -> float:
+    """Least mu = (d) residual over a uniform grid of root angles."""
+    e = f.degree - 1
+    theta = np.linspace(-math.pi / 2, math.pi / 2, points, endpoint=False)
+    k = np.arange(e + 1)[:, None]
+    # column j: coefficients of (cos t_j x - sin t_j y)^e
+    charts = (
+        np.array([comb(e, i) for i in range(e + 1)], dtype=float)[:, None]
+        * np.cos(theta) ** (e - k) * (-np.sin(theta)) ** k
+    )
+    residuals = np.linalg.norm(normalized_catalecticant(f, e) @ charts, axis=0)
+    return float(np.min(residuals / np.linalg.norm(charts, axis=0)))
+
+
+class TestSingleRootMembership:
+    """mu = (d): the least residual over one root of multiplicity d - 1."""
+
+    def test_no_grid_angle_beats_it(self):
+        rng = random.Random(2400)
+        for _ in range(200):
+            d = rng.randint(2, 8)
+            f = random_form(rng, d)
+            report = dual_membership(f, (d,))
+            assert report.residual <= grid_minimum(f) + 1e-12, (f, report)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_repeated_real_root_comes_back_on(self, d):
+        # a double real root, rational or at [1:0] (the factor y), times
+        # distinct real roots and complex pairs
+        rng = random.Random(2500 + d)
+        for k in range(12):
+            r = None if k % 4 == 0 else F(rng.randint(-9, 9), rng.randint(1, 4))
+            line = form(0, 1) if r is None else BinaryForm.from_roots([r])
+            f, used = form_mul(line, line), {r}
+            while f.degree < d:
+                if d - f.degree >= 2 and rng.random() < 0.5:
+                    a, b = rng.randint(-5, 5), rng.randint(1, 5)
+                    f = form_mul(f, form(1, -2 * a, a * a + b * b))
+                    continue
+                t = F(rng.randint(-9, 9), rng.randint(1, 4))
+                if t not in used:
+                    used.add(t)
+                    f = form_mul(f, BinaryForm.from_roots([t]))
+            report = dual_membership(f, (d,))
+            assert report.verdict == "on" and report.residual < 1e-10, (f, report)
+            # (Dx - t Dy)^(d-1) kills f exactly when (t x + y)^2 divides f,
+            # so the witness root is t = -1/r for the double root x = r y
+            (t,) = report.witness_roots
+            if r is None:
+                assert t == pytest.approx(0.0, abs=1e-9)
+            elif r == 0:
+                assert t is None
+            else:
+                assert t == pytest.approx(-1 / r, rel=1e-8)
 
 
 def forms_annihilated_by_pattern(rng, mu):
@@ -446,7 +510,12 @@ def assert_hyperbolicity_predicate(f_from, f_to, steps, events):
 
 
 def assert_walls_match_reference(f_from, f_to, steps):
-    """Every rank-d wall of the scan equals the reference bisection."""
+    """Every rank-d wall of the scan equals the reference bisection.
+
+    A rank-d wall lies on the discriminant, the dual of mu = (d), so its
+    membership test for (d) must come back "on" and the event is no
+    anomaly.
+    """
     d = f_from.degree
     walls = [
         e for e in crossing_scan(f_from, f_to, steps)
@@ -454,6 +523,8 @@ def assert_walls_match_reference(f_from, f_to, steps):
     ]
     for e in walls:
         assert (e.eps_lo, e.eps_hi) == reference_wall_bracket(f_from, f_to, steps, e)
+        top = [m.verdict for m in e.memberships if m.mu == (d,)]
+        assert top == ["on"] and not e.anomaly, e
     return walls
 
 
@@ -547,6 +618,18 @@ class TestHyperbolicityWalls:
                 midpoint_calls += sum(1 for f in calls if f not in grid)
                 assert_hyperbolicity_predicate(f_from, f_to, steps, walls)
         assert midpoint_calls > 0
+
+    def test_wall_where_a_descent_stalled(self):
+        # perfbench scan-quartic seed 31 item 12: a local descent over the
+        # root angle stalled at residual 6.4e-4 on this wall and called it
+        # an anomaly
+        f_from = form(18, 96, 324, 216, 243)
+        f_to = form(
+            F(702747, 830), F(702747, 166), F(-702747, 83),
+            F(-5621976, 83), F(-33731856, 415),
+        )
+        walls = assert_walls_match_reference(f_from, f_to, 12)
+        assert len(walls) == 1
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_first_midpoint_on_the_discriminant(self, reverse):

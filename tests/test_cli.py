@@ -292,13 +292,16 @@ class TestSelfcheck:
         assert all(line.startswith("[PASS]") for line in lines[1:-1])
 
 
-def loaded_after(imports: str, packages: tuple[str, ...]) -> str:
-    """Top-level packages among ``packages`` loaded by a fresh interpreter."""
+def loaded_after(imports: str, packages: tuple[str, ...], run: str = "") -> str:
+    """Modules of ``packages`` loaded by a fresh interpreter.
+
+    The interpreter imports ``imports``, then runs the statements ``run``.
+    """
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
-        f"import sys, {imports}; "
+        f"import sys, {imports}\n{run}\n"
         f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))"
     )
     return subprocess.run(
@@ -315,3 +318,22 @@ class TestLazyImports:
     def test_package_imports_without_numpy(self):
         # numpy loads only when a float layer runs: membership, the rank search
         assert loaded_after("crl_atlas", ("numpy", "scipy")) == "[]"
+
+    def test_single_part_membership_runs_without_scipy(self):
+        # mu = (d) is decided by one polynomial root solve, so a quartic
+        # scan, whose only candidate dual is mu = (4), never loads scipy;
+        # a pattern with several parts runs the descent, which does
+        imports = "fractions, crl_atlas"
+        setup = (
+            "F = fractions.Fraction; B = crl_atlas.BinaryForm; "
+            "f = B.from_roots([F(0), F(0), F(1), F(2), F(3)])"
+        )
+        scan = (
+            "events = crl_atlas.crossing_scan(B(4, tuple(map(F, (2, 4, 6, 4, 2)))), "
+            "B.from_roots([F(1), F(2), F(3), F(4)]), 12); "
+            "assert any(e.memberships for e in events)"
+        )
+        single = "crl_atlas.dual_membership(f, (5,))"
+        several = "crl_atlas.dual_membership(f, (3, 2))"
+        assert loaded_after(imports, ("scipy",), f"{setup}; {scan}; {single}") == "[]"
+        assert "'scipy.optimize'" in loaded_after(imports, ("scipy",), f"{setup}; {several}")

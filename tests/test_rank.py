@@ -238,6 +238,38 @@ class TestRealRank:
             if rs:
                 assert rs[-1] == cert.value - 1
 
+    def test_exact_values_invariant_under_gl2(self):
+        # real rank is invariant under an invertible real change of (x, y),
+        # so two certificates whose lower bounds are both exact must agree;
+        # the forms are random, sums of a few powers and real-rooted
+        rng = random.Random(2600)
+        compared = set()
+        for d in range(3, 7):
+            for k in range(9):
+                if k % 3 == 0:
+                    f = random_form(rng, d, spread=9)
+                elif k % 3 == 1:
+                    f = BinaryForm(d, (F(0),) * (d + 1))
+                    while f.is_zero:
+                        for _ in range(rng.randint(2, d // 2 + 1)):
+                            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+                            f = f + gl2_act(power_of_x(d), (a, b, 0, 1))
+                else:
+                    roots = rng.sample(range(-6, 7), d)
+                    f = BinaryForm.from_roots([F(t, 2) for t in roots])
+                while True:
+                    g = tuple(rng.randint(-3, 3) for _ in range(4))
+                    if g[0] * g[3] != g[1] * g[2]:
+                        break
+                moved = gl2_act(f, g)
+                cert, moved_cert = real_rank(f), real_rank(moved)
+                check_witness(cert, f)
+                check_witness(moved_cert, moved)
+                if cert.lower_bound_kind == moved_cert.lower_bound_kind == "exact":
+                    assert moved_cert.value == cert.value, (f, g)
+                    compared.add((d, cert.value))
+        assert len(compared) >= 10, compared
+
     def test_bounds_for_random_forms(self):
         rng = random.Random(45)
         for _ in range(20):
